@@ -26,7 +26,6 @@ from .atom import (
     termination_matrix,
 )
 from .errors import (
-    ComplexRootError,
     ConsistencyError,
     ConvergenceError,
     DomainError,

@@ -14,13 +14,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import heun
-from .errors import ComplexRootError, ConsistencyError, DomainError, TerminationError
+from .errors import ConsistencyError, DomainError, TerminationError
 
 __all__ = [
     "AtomParameters",
@@ -28,13 +28,11 @@ __all__ = [
     "PolynomialSolution",
     "Symmetry",
     "jacobi_transform",
-    "confinement_potential",
     "pair_potential",
     "relative_potential",
     "quantized_energy",
     "heun_parameters",
     "termination_matrix",
-    "termination_determinant",
     "solve_g",
     "radial_solution",
     "normalize_radial",
@@ -127,11 +125,6 @@ def jacobi_transform(r1, r2, r3, M: float):
     return big_r, s, rel
 
 
-def confinement_potential(r13: float, b: float) -> float:
-    """Harmonic electron-nucleus interaction r13^2 / (2 b^4)."""
-    return r13**2 / (2.0 * b**4)
-
-
 def pair_potential(r12, atom: AtomParameters):
     """Screened, regularized electron-electron interaction g / (r12^2 + 2 d^2)."""
     return atom.g / (np.asarray(r12, dtype=float) ** 2 + 2.0 * atom.d**2)
@@ -196,90 +189,62 @@ def heun_parameters(atom: AtomParameters, l_r: int, energy_r: float) -> heun.Heu
     return params
 
 
+# A coupling truncates the series when its mu lies within this distance of a
+# root, relative to the largest root: eigenvalues of the Jacobi matrix are
+# accurate to a few ulps of its norm.
+_ROOT_TOL = 1e-10
+
+# Stand-in for a ratio of consecutive coefficients that is exactly zero.
+_TINY = 1e-150
+
+
+def _truncation_bands(N: int, l_r: int, alpha: float, mu: float):
+    """Bands (diagonal, superdiagonal, subdiagonal) of `termination_matrix`."""
+    k = np.arange(N + 1, dtype=float)
+    diag = k * alpha + mu - k * (k + l_r + 2.5)
+    sup = k[1:] * (k[1:] + 0.5 + l_r)
+    sub = (N + 1 - k[1:]) * alpha
+    return diag, sup, sub
+
+
 def termination_matrix(N: int, l_r: int, d_over_b: float, mu: float) -> np.ndarray:
     """The (N+1) x (N+1) tridiagonal truncation matrix, evaluated at mu.
 
     With alpha = (d/b)^2, row k carries diagonal k alpha + mu - k(k + l_r + 5/2),
     superdiagonal (k+1)(k + 3/2 + l_r) and subdiagonal (N + 1 - k) alpha.  Its
     determinant vanishes exactly at the accessory parameters mu that truncate
-    the series at degree N.
+    the series at degree N, and its null vector there holds the series
+    coefficients v_0 ... v_N.
     """
     if N < 1:
         raise DomainError(f"termination class N must be >= 1, got {N}")
-    alpha = d_over_b**2
-    m = np.zeros((N + 1, N + 1))
-    for k in range(N + 1):
-        m[k, k] = k * alpha + mu - k * (k + l_r + 2.5)
-        if k < N:
-            m[k, k + 1] = (k + 1) * (k + 1.5 + l_r)
-        if k > 0:
-            m[k, k - 1] = (N + 1 - k) * alpha
-    return m
+    diag, sup, sub = _truncation_bands(N, l_r, d_over_b**2, mu)
+    return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
 
-def termination_determinant(N: int, l_r: int, d_over_b: float, mu: float) -> float:
-    """Determinant of the truncation matrix via the three-term recurrence
-    D_k = diag_k D_{k-1} - sub_k super_{k-1} D_{k-2}."""
-    alpha = d_over_b**2
-    d_prev2 = 1.0
-    d_prev = mu  # row 0 diagonal
-    for k in range(1, N + 1):
-        diag = k * alpha + mu - k * (k + l_r + 2.5)
-        sub_super = (N + 1 - k) * alpha * k * (k + 0.5 + l_r)
-        d_prev2, d_prev = d_prev, diag * d_prev - sub_super * d_prev2
-    return d_prev
+def _mu_shift(N: int, l_r: int, alpha: float) -> float:
+    """The constant c in mu = g/4 - c for class (N, l_r)."""
+    return 0.25 * (7 + 2 * l_r + 4 * N) * alpha - (l_r + 1.5) * (0.5 * alpha - 1.0)
 
 
-def _determinant_polynomial(N: int, l_r: int, alpha: Fraction) -> list[Fraction]:
-    """Exact coefficients (ascending in mu) of det of the truncation matrix.
+def _mu_roots(N: int, l_r: int, alpha: float) -> np.ndarray:
+    """Ascending accessory parameters mu at which the series truncates at degree N.
 
-    l_r and alpha = (d/b)^2 enter rationally, so the whole recurrence runs in
-    exact arithmetic; floats only appear at root-finding time.
+    sub_k * super_{k-1} = (N + 1 - k) alpha k (k + 1/2 + l_r) > 0, so the
+    truncation matrix is diagonally similar to a symmetric Jacobi matrix with
+    off-diagonal sqrt(sub_k super_{k-1}) (Golub & Welsch 1969).  Its mu roots
+    are minus the eigenvalues of the mu-free part: real and simple.
     """
-    half = Fraction(1, 2)
-
-    def mul_affine(p: list[Fraction], shift: Fraction) -> list[Fraction]:
-        out = [Fraction(0)] * (len(p) + 1)
-        for i, c in enumerate(p):
-            out[i + 1] += c
-            out[i] += c * shift
-        return out
-
-    d_prev2 = [Fraction(1)]
-    d_prev = [Fraction(0), Fraction(1)]  # mu + 0
-    for k in range(1, N + 1):
-        shift = k * alpha - Fraction(k) * (k + l_r + 5 * half)
-        sub_super = (N + 1 - k) * alpha * k * (Fraction(k) + l_r + half)
-        nxt = mul_affine(d_prev, shift)
-        for i, c in enumerate(d_prev2):
-            nxt[i] -= sub_super * c
-        d_prev2, d_prev = d_prev, nxt
-    return d_prev
-
-
-def _newton_polish(coeffs_ascending: np.ndarray, z: complex, iterations: int = 8) -> complex:
-    for _ in range(iterations):
-        p = 0.0 + 0.0j
-        dp = 0.0 + 0.0j
-        for c in coeffs_ascending[::-1]:
-            dp = dp * z + p
-            p = p * z + c
-        if dp == 0:
-            break
-        step = p / dp
-        z = z - step
-        if abs(step) <= 1e-15 * max(1.0, abs(z)):
-            break
-    return z
+    diag, sup, sub = _truncation_bands(N, l_r, alpha, 0.0)
+    return np.sort(-eigvalsh_tridiagonal(diag, np.sqrt(sup * sub)))
 
 
 def solve_g(N: int, l_r: int, b: float = 1.0, d: float = 1.0) -> np.ndarray:
     """All couplings g admitting a degree-N polynomial solution, ascending.
 
-    The truncation determinant is a degree-(N+1) polynomial in mu with exact
-    rational coefficients (mu is affine in g with slope 1/4).  Roots come from
-    the companion matrix and are Newton-polished; any root with a relative
-    imaginary part beyond 1e-9 is reported instead of silently dropped.
+    mu is affine in g (mu = g/4 - c), so the N+1 couplings are the
+    eigenvalues of the symmetric Jacobi form of the truncation matrix,
+    mapped back to g.
     """
     if N < 1:
         raise DomainError(f"termination class N must be >= 1, got {N}")
@@ -287,36 +252,44 @@ def solve_g(N: int, l_r: int, b: float = 1.0, d: float = 1.0) -> np.ndarray:
         raise DomainError(f"l_r must be nonnegative, got {l_r}")
     if not (b > 0 and d > 0):
         raise DomainError(f"b and d must be positive, got b={b}, d={d}")
-    alpha_exact = Fraction(d) ** 2 / Fraction(b) ** 2
-    coeffs = np.array([float(c) for c in _determinant_polynomial(N, l_r, alpha_exact)])
-    roots = np.roots(coeffs[::-1])
-    roots = np.array([_newton_polish(coeffs, z) for z in roots])
-    scale = max(1.0, float(np.abs(roots).max()))
-    bad = np.abs(roots.imag) > 1e-9 * scale
-    if bad.any():
-        raise ComplexRootError(f"complex truncation roots detected: {roots[bad]}")
-    mu_roots = np.sort(roots.real)
-    alpha = float(alpha_exact)
-    k2d2 = (7 + 2 * l_r + 4 * N) * alpha
-    return 4.0 * (mu_roots - (l_r + 1.5) * (0.5 * alpha - 1.0)) + k2d2
+    alpha = (d / b) ** 2
+    return 4.0 * (_mu_roots(N, l_r, alpha) + _mu_shift(N, l_r, alpha))
 
 
-def _distinct_positive_roots(coeffs_ascending: np.ndarray) -> int:
-    """Count distinct real positive roots of a polynomial (ascending coefficients)."""
-    cc = np.trim_zeros(np.asarray(coeffs_ascending, dtype=float), "b")
-    if cc.size <= 1:
-        return 0
-    roots = np.roots(cc[::-1])
-    mags = np.maximum(1.0, np.abs(roots))
-    real = np.sort(roots[np.abs(roots.imag) <= 1e-8 * mags].real)
-    positive = [x for x in real if x > 1e-12]
-    count = 0
-    last = None
-    for x in positive:
-        if last is None or x - last > 1e-8 * (1.0 + x):
-            count += 1
-        last = x
-    return count
+def _null_vector(diag: np.ndarray, sup: np.ndarray, sub: np.ndarray) -> np.ndarray:
+    """Null vector (v_0 = 1) of a tridiagonal matrix that is singular to rounding.
+
+    Forward ratios v_k / v_{k-1} follow from rows 0 .. k-1, backward ratios
+    v_{k-1} / v_k from rows N .. k.  Each direction is accurate where the
+    wanted solution dominates it, so the two are joined at the row whose
+    residual, left out of both, is smallest relative to its terms (a twisted
+    factorisation, Parlett & Dhillon).  A ratio that vanishes exactly is
+    replaced by a tiny number, as in Lentz's continued-fraction method, so
+    the next one stays finite.  The components are accumulated in
+    log-magnitude, so none overflows unless the result itself does.
+    """
+    n = diag.size
+    fwd = np.empty(n - 1)  # fwd[k-1] = v_k / v_{k-1}
+    bwd = np.empty(n - 1)  # bwd[k-1] = v_{k-1} / v_k
+    fwd[0] = _nonzero(-diag[0] / sup[0])
+    for k in range(1, n - 1):
+        fwd[k] = _nonzero(-(diag[k] + sub[k - 1] / fwd[k - 1]) / sup[k])
+    bwd[-1] = _nonzero(-diag[-1] / sub[-1])
+    for k in range(n - 2, 0, -1):
+        bwd[k - 1] = _nonzero(-(diag[k] + sup[k] / bwd[k]) / sub[k - 1])
+    # Row j's terms with v_j = 1: sub v_{j-1}, diag, sup v_{j+1}.
+    lower = np.concatenate([[0.0], sub / fwd])
+    upper = np.concatenate([sup / bwd, [0.0]])
+    residual = np.abs(lower + diag + upper) / (np.abs(lower) + np.abs(diag) + np.abs(upper))
+    j = int(np.argmin(residual))
+    steps = np.concatenate([fwd[:j], 1.0 / bwd[j:]])
+    return np.concatenate(
+        [[1.0], np.cumprod(np.sign(steps)) * np.exp(np.cumsum(np.log(np.abs(steps))))]
+    )
+
+
+def _nonzero(x: float) -> float:
+    return x if x != 0.0 else _TINY
 
 
 @dataclass(frozen=True)
@@ -366,30 +339,35 @@ class PolynomialSolution:
 def radial_solution(N: int, l_r: int, g_root: float, b: float = 1.0, d: float = 1.0) -> PolynomialSolution:
     """Construct the exact degree-N radial solution at a coupling root.
 
-    Fails with TerminationError unless the forward recurrence confirms that
-    the series truncates at degree N for this coupling.  The returned solution
-    carries normalization 1; `normalize_radial` makes it unit-norm.
+    Fails with TerminationError unless mu(g) is one of the N+1 truncation
+    roots.  The coefficients v_0 = 1, v_1 ... v_N are the null vector of the
+    truncation matrix at mu(g).  At fixed E_r the node count strictly
+    decreases as g grows (Sturm comparison), and P has at most N positive
+    zeros, so the i-th root in ascending order has n_r = N - i.  The
+    returned solution carries normalization 1; `normalize_radial` makes it
+    unit-norm.
     """
     energy_r = quantized_energy(N, l_r, b)
     model = AtomParameters(b=b, d=d, g=float(g_root), M=math.inf)
-    params = heun_parameters(model, l_r, energy_r)
-    coeffs = heun.series_coefficients(params, N + 8)
-    detected = heun.termination_degree(coeffs)
-    if detected != N:
+    alpha = model.d_over_b**2
+    mu = 0.25 * model.g - _mu_shift(N, l_r, alpha)
+    roots = _mu_roots(N, l_r, alpha)
+    i = int(np.argmin(np.abs(roots - mu)))
+    if abs(roots[i] - mu) > _ROOT_TOL * max(1.0, float(np.abs(roots).max())):
         raise TerminationError(
             f"series does not truncate at degree {N} for g = {g_root} "
-            f"(detected degree: {detected})"
+            f"(nearest root g = {4.0 * (roots[i] + _mu_shift(N, l_r, alpha))})"
         )
-    trimmed = heun.SeriesCoefficients(coeffs.values[: N + 1], params)
-    poly = np.array([(-1.0) ** n * v for n, v in enumerate(trimmed.values)])
-    n_r = _distinct_positive_roots(poly)
+    values = _null_vector(*_truncation_bands(N, l_r, alpha, mu))
     return PolynomialSolution(
         N=N,
         l_r=l_r,
         energy_r=energy_r,
         g_root=float(g_root),
-        coefficients=trimmed,
-        n_r=n_r,
+        coefficients=heun.SeriesCoefficients(
+            tuple(values.tolist()), heun_parameters(model, l_r, energy_r)
+        ),
+        n_r=N - i,
         normalization=1.0,
         atom=model,
     )

@@ -10,12 +10,12 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
 
 import click
 import numpy as np
 from scipy.integrate import trapezoid
 
+from . import __version__
 from . import limits as limits_mod
 from .atom import (
     AtomParameters,
@@ -29,30 +29,11 @@ from .errors import DomainError, ScreenedHookiumError
 from .groundstate import density_closed_form, ground_state
 from .oracle import RadialGrid, radial_eigensolve
 
-__all__ = ["RunConfig", "VerificationFailure", "cli", "main"]
+__all__ = ["VerificationFailure", "cli", "main"]
 
 
 class VerificationFailure(Exception):
     """One or more verification checks exceeded their tolerance."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command configuration; domain validation happens on dispatch."""
-
-    command: str
-    b: float = 1.0
-    d_over_b: float = 1.0
-    g: float = 0.0
-    M: float = math.inf
-    N: int | None = None
-    l_r: int | None = None
-    levels: int = 8
-    grid_points: int | None = None
-    r_max: float | None = None
-    tol: float | None = None
-    fmt: str = "csv"
-    out: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +74,13 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _emit(cfg: RunConfig, params: dict, results, checks: list, columns: list[str], rows: list[dict]) -> None:
-    if cfg.fmt == "json":
+def _emit(command: str, fmt: str, out: str | None, params: dict, results, checks: list,
+          columns: list[str], rows: list[dict]) -> None:
+    if fmt == "json":
         text = _json_dumps({"params": params, "results": results, "checks": checks}) + "\n"
     else:
         buf = io.StringIO()
-        buf.write(f"# screened-hookium {cfg.command}\n")
+        buf.write(f"# screened-hookium {command}\n")
         buf.write("# " + " ".join(f"{k}={_fmt_csv(v)}" for k, v in params.items()) + "\n")
         buf.write(",".join(columns) + "\n")
         for row in rows:
@@ -107,8 +89,8 @@ def _emit(cfg: RunConfig, params: dict, results, checks: list, columns: list[str
             if isinstance(line, str):
                 buf.write(f"# {line}\n")
         text = buf.getvalue()
-    if cfg.out is not None:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+    if out is not None:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
@@ -132,7 +114,7 @@ def _mass_repr(m: float):
 # commands
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="screened-hookium")
+@click.version_option(version=__version__, prog_name="screened-hookium")
 def cli() -> None:
     """Exactly solvable two-electron atom with a screened pair interaction."""
 
@@ -148,23 +130,21 @@ def cli() -> None:
 def cmd_solve(n_class, l_r, d_over_b, b_len, m_nuc, fmt, out_path) -> None:
     """All exact couplings g of class (N, l_r) with their solutions."""
     mass = _parse_mass(m_nuc)
-    cfg = RunConfig(command="solve", b=b_len, d_over_b=d_over_b, M=mass,
-                    N=n_class, l_r=l_r, fmt=fmt, out=out_path)
-    d_len = cfg.d_over_b * cfg.b
-    roots = solve_g(cfg.N, cfg.l_r, b=cfg.b, d=d_len)
+    d_len = d_over_b * b_len
+    roots = solve_g(n_class, l_r, b=b_len, d=d_len)
     rows = []
     for g in roots:
-        sol = radial_solution(cfg.N, cfg.l_r, g, b=cfg.b, d=d_len)
-        total = assemble_total_energy((0.0, 0.0, 0.0), mass, cfg.b, 0, 0, sol.energy_r)
+        sol = radial_solution(n_class, l_r, g, b=b_len, d=d_len)
+        total = assemble_total_energy((0.0, 0.0, 0.0), mass, b_len, 0, 0, sol.energy_r)
         row = {"g": float(g), "E_r": sol.energy_r, "E_total": total, "n_r": sol.n_r}
         for i, v in enumerate(sol.coefficients.values[1:], start=1):
             row[f"v_{i}"] = v
         row["symmetry"] = sol.symmetry.value
         rows.append(row)
-    params = {"N": cfg.N, "lr": cfg.l_r, "d_over_b": cfg.d_over_b, "b": cfg.b,
+    params = {"N": n_class, "lr": l_r, "d_over_b": d_over_b, "b": b_len,
               "M": _mass_repr(mass)}
-    columns = ["g", "E_r", "E_total", "n_r"] + [f"v_{i}" for i in range(1, cfg.N + 1)] + ["symmetry"]
-    _emit(cfg, params, rows, [], columns, rows)
+    columns = ["g", "E_r", "E_total", "n_r"] + [f"v_{i}" for i in range(1, n_class + 1)] + ["symmetry"]
+    _emit("solve", fmt, out_path, params, rows, [], columns, rows)
 
 
 @cli.command("verify")
@@ -179,29 +159,30 @@ def cmd_solve(n_class, l_r, d_over_b, b_len, m_nuc, fmt, out_path) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_path) -> None:
     """Check every root of a class against the independent eigensolver."""
-    cfg = RunConfig(command="verify", b=b_len, d_over_b=d_over_b, N=n_class, l_r=l_r,
-                    grid_points=grid_points, r_max=r_max, tol=tol, fmt=fmt, out=out_path)
-    d_len = cfg.d_over_b * cfg.b
-    r_top = cfg.r_max if cfg.r_max is not None else 10.0 * cfg.b
-    grid = RadialGrid(r_min=1e-6 * cfg.b, r_max=r_top, n_points=cfg.grid_points)
+    d_len = d_over_b * b_len
+    r_top = r_max if r_max is not None else 10.0 * b_len
+    grid = RadialGrid(r_min=1e-6 * b_len, r_max=r_top, n_points=grid_points)
     l2_tol = 1e-3
     resid_tol = 1e-9
-    sample_radii = np.geomspace(1e-3 * cfg.b, 6.0 * cfg.b, 50)
+    sample_radii = np.geomspace(1e-3 * b_len, 6.0 * b_len, 50)
 
-    roots = solve_g(cfg.N, cfg.l_r, b=cfg.b, d=d_len)
+    roots = solve_g(n_class, l_r, b=b_len, d=d_len)
     rows = []
     checks = []
     failures = 0
     for g in roots:
-        sol = normalize_radial(radial_solution(cfg.N, cfg.l_r, g, b=cfg.b, d=d_len))
-        pairs = radial_eigensolve(sol.atom, cfg.l_r, grid, n_states=sol.n_r + 2)
+        sol = normalize_radial(radial_solution(n_class, l_r, g, b=b_len, d=d_len))
+        pairs = radial_eigensolve(sol.atom, l_r, grid, n_states=sol.n_r + 2)
         match = next((p for p in pairs if p.node_count == sol.n_r), None)
         resid = float(np.abs(radial_ode_residual(sol, sample_radii)).max())
+        tag = f"g={_fmt_csv(float(g))}"
         if match is None:
             rows.append({"g": float(g), "n_r": sol.n_r, "E_exact": sol.energy_r,
                          "E_oracle": math.nan, "eig_rel_err": math.inf,
                          "l2_error": math.inf, "max_ode_residual": resid,
                          "node_oracle": -1, "status": "FAIL"})
+            checks.append({"name": f"node_match[{tag}]", "passed": False,
+                           "tolerance": sol.n_r, "observed": [p.node_count for p in pairs]})
             failures += 1
             continue
         rel = abs(match.eigenvalue - sol.energy_r) / abs(sol.energy_r)
@@ -213,30 +194,33 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_
         if u_num[peak] * u_exact[peak] < 0:
             u_num = -u_num
         l2 = math.sqrt(trapezoid((u_num - u_exact) ** 2, r_pts))
-        ok = rel <= cfg.tol and l2 <= l2_tol and resid <= resid_tol and not match.grid_warning
+        ok = rel <= tol and l2 <= l2_tol and resid <= resid_tol and not match.grid_warning
         failures += 0 if ok else 1
         rows.append({"g": float(g), "n_r": sol.n_r, "E_exact": sol.energy_r,
                      "E_oracle": match.eigenvalue, "eig_rel_err": rel,
                      "l2_error": l2, "max_ode_residual": resid,
                      "node_oracle": match.node_count, "status": "PASS" if ok else "FAIL"})
-        tag = f"g={_fmt_csv(float(g))}"
-        checks.append({"name": f"eigenvalue[{tag}]", "passed": rel <= cfg.tol,
-                       "tolerance": cfg.tol, "observed": rel})
+        checks.append({"name": f"eigenvalue[{tag}]", "passed": rel <= tol,
+                       "tolerance": tol, "observed": rel})
         checks.append({"name": f"l2_mismatch[{tag}]", "passed": l2 <= l2_tol,
                        "tolerance": l2_tol, "observed": l2})
         checks.append({"name": f"ode_residual[{tag}]", "passed": resid <= resid_tol,
                        "tolerance": resid_tol, "observed": resid})
+        if match.grid_warning:
+            checks.append({"name": f"grid[{tag}]", "passed": False,
+                           "tolerance": False, "observed": True})
 
-    params = {"N": cfg.N, "lr": cfg.l_r, "d_over_b": cfg.d_over_b, "b": cfg.b,
-              "grid_points": cfg.grid_points, "rmax": r_top, "tol": cfg.tol}
+    params = {"N": n_class, "lr": l_r, "d_over_b": d_over_b, "b": b_len,
+              "grid_points": grid_points, "rmax": r_top, "tol": tol}
     columns = ["g", "n_r", "E_exact", "E_oracle", "eig_rel_err", "l2_error",
                "max_ode_residual", "node_oracle", "status"]
     comment_checks = [f"{c['name']}: {'PASS' if c['passed'] else 'FAIL'} "
                       f"(observed {_fmt_csv(c['observed'])}, tol {_fmt_csv(c['tolerance'])})"
                       for c in checks]
-    _emit(cfg, params, rows, checks if cfg.fmt == "json" else comment_checks, columns, rows)
+    _emit("verify", fmt, out_path, params, rows, checks if fmt == "json" else comment_checks,
+          columns, rows)
     if failures:
-        raise VerificationFailure(f"{failures} verification check(s) failed")
+        raise VerificationFailure(f"{failures} of {len(roots)} root(s) failed verification")
 
 
 @cli.command("figure")
@@ -247,30 +231,28 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_figure(which, b_len, r_max, grid_points, out_path) -> None:
     """CSV plot data: fig2 = the two N=1 radial functions, fig3 = the density."""
-    cfg = RunConfig(command=f"figure {which}", b=b_len, r_max=r_max,
-                    grid_points=grid_points, fmt="csv", out=out_path)
-    if cfg.grid_points < 2:
-        raise DomainError(f"--grid-points must be >= 2, got {cfg.grid_points}")
-    top = cfg.r_max if cfg.r_max is not None else 6.0 * cfg.b
-    radii = np.linspace(0.0, top, cfg.grid_points)
+    if grid_points < 2:
+        raise DomainError(f"--grid-points must be >= 2, got {grid_points}")
+    top = r_max if r_max is not None else 6.0 * b_len
+    radii = np.linspace(0.0, top, grid_points)
     if which == "fig2":
-        g_lo, g_hi = solve_g(1, 0, b=cfg.b, d=cfg.b)
-        sol_hi = normalize_radial(radial_solution(1, 0, g_hi, b=cfg.b, d=cfg.b))
-        sol_lo = normalize_radial(radial_solution(1, 0, g_lo, b=cfg.b, d=cfg.b))
+        g_lo, g_hi = solve_g(1, 0, b=b_len, d=b_len)
+        sol_hi = normalize_radial(radial_solution(1, 0, g_hi, b=b_len, d=b_len))
+        sol_lo = normalize_radial(radial_solution(1, 0, g_lo, b=b_len, d=b_len))
         rows = [{"r": r, "R_g26": hi, "R_g12": lo}
                 for r, hi, lo in zip(radii, sol_hi.radial(radii), sol_lo.radial(radii))]
-        params = {"b": cfg.b, "d_over_b": 1.0, "N": 1, "lr": 0,
+        params = {"b": b_len, "d_over_b": 1.0, "N": 1, "lr": 0,
                   "g_hi": float(g_hi), "g_lo": float(g_lo), "rmax": top,
-                  "grid_points": cfg.grid_points}
+                  "grid_points": grid_points}
         columns = ["r", "R_g26", "R_g12"]
     else:
-        gs = ground_state(b=cfg.b, d=cfg.b)
+        gs = ground_state(b=b_len, d=b_len)
         rows = [{"r1": r, "rho": v} for r, v in zip(radii, density_closed_form(gs, radii))]
-        params = {"b": cfg.b, "d_over_b": 1.0, "g": gs.g_root, "v1": gs.v1,
+        params = {"b": b_len, "d_over_b": 1.0, "g": gs.g_root, "v1": gs.v1,
                   "normalization": gs.normalization, "rmax": top,
-                  "grid_points": cfg.grid_points}
+                  "grid_points": grid_points}
         columns = ["r1", "rho"]
-    _emit(cfg, params, rows, [], columns, rows)
+    _emit(f"figure {which}", "csv", out_path, params, rows, [], columns, rows)
 
 
 @cli.command("limits")
@@ -285,8 +267,6 @@ def cmd_figure(which, b_len, r_max, grid_points, out_path) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_limits(regime, g_coupling, b_len, d_over_b, levels, pairs, fmt, out_path) -> None:
     """Low-lying limiting-regime spectra with degeneracies flagged."""
-    cfg = RunConfig(command=f"limits {regime}", b=b_len, d_over_b=d_over_b,
-                    g=g_coupling, levels=levels, fmt=fmt, out=out_path)
     parsed_pairs = []
     for text in pairs:
         parts = text.split(",")
@@ -297,13 +277,13 @@ def cmd_limits(regime, g_coupling, b_len, d_over_b, levels, pairs, fmt, out_path
         except ValueError as exc:
             raise click.UsageError(f"--pair entries must be integers, got {text!r}") from exc
 
-    params = {"regime": regime, "g": cfg.g, "b": cfg.b, "levels": cfg.levels}
+    params = {"regime": regime, "g": g_coupling, "b": b_len, "levels": levels}
     if regime == "small-d":
-        entries = limits_mod.small_d_spectrum(cfg.g, b=cfg.b, levels=cfg.levels)
+        entries = limits_mod.small_d_spectrum(g_coupling, b=b_len, levels=levels)
     else:
-        model = AtomParameters(b=cfg.b, d=cfg.d_over_b * cfg.b, g=cfg.g)
-        entries = limits_mod.large_d_spectrum(model, levels=cfg.levels)
-        params["d_over_b"] = cfg.d_over_b
+        model = AtomParameters(b=b_len, d=d_over_b * b_len, g=g_coupling)
+        entries = limits_mod.large_d_spectrum(model, levels=levels)
+        params["d_over_b"] = d_over_b
         params["gamma_renorm"] = limits_mod.gamma_renorm(model)
 
     rows = []
@@ -331,8 +311,9 @@ def cmd_limits(regime, g_coupling, b_len, d_over_b, levels, pairs, fmt, out_path
                               "degenerate": limits_mod.large_d_degenerate(n1, l1, n2, l2)})
 
     columns = ["n_r", "l_r", "energy", "group", "degenerate"]
-    if cfg.fmt == "json":
-        _emit(cfg, params, {"levels": rows, "pairs": pair_rows}, [], columns, rows)
+    if fmt == "json":
+        _emit(f"limits {regime}", fmt, out_path, params, {"levels": rows, "pairs": pair_rows}, [],
+              columns, rows)
     else:
         comments = []
         for p in pair_rows:
@@ -341,7 +322,7 @@ def cmd_limits(regime, g_coupling, b_len, d_over_b, levels, pairs, fmt, out_path
                 comments.append(f"{label}: g={_fmt_csv(p['g']) if p['g'] is not None else 'none'}")
             else:
                 comments.append(f"{label}: degenerate={_fmt_csv(p['degenerate'])}")
-        _emit(cfg, params, rows, comments, columns, rows)
+        _emit(f"limits {regime}", fmt, out_path, params, rows, comments, columns, rows)
 
 
 def main(argv=None) -> int:

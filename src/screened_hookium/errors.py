@@ -17,9 +17,5 @@ class TerminationError(ScreenedHookiumError, ValueError):
     """The series does not truncate at the requested degree for this coupling."""
 
 
-class ComplexRootError(ScreenedHookiumError, RuntimeError):
-    """The truncation determinant produced roots with non-negligible imaginary part."""
-
-
 class ConsistencyError(ScreenedHookiumError, RuntimeError):
     """Two independent computations of the same quantity disagree."""

@@ -26,9 +26,10 @@ __all__ = [
     "evaluate",
 ]
 
-# Relative size below which a trailing coefficient counts as vanished.  Roots
-# of the truncation determinant are polished to ~1e-12; the recurrence
-# inflates their residual by its condition number, hence the slack.
+# Relative size below which a trailing coefficient counts as vanished, when
+# `evaluate` probes a parameter set for truncation.  Parameters that truncate
+# exactly are known only to rounding, and the forward recurrence inflates
+# that error by its condition number, hence the slack.
 TERMINATION_TOL = 1e-10
 
 # How many coefficients to inspect when probing for termination.

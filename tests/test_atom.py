@@ -2,12 +2,21 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from conftest import N1_L0_G, N1_L1_G, N2_L0_G, NCAL_REF
+from exact_truncation import (
+    determinant_polynomial,
+    exact_alpha_mu,
+    exact_trace,
+    positive_zero_count,
+    relative_newton_steps,
+    row_residual,
+)
 from screened_hookium import atom
 from screened_hookium.errors import DomainError, TerminationError
 
@@ -133,15 +142,17 @@ class TestTerminationMatrix:
             )
             assert np.allclose(m, expected, atol=1e-15)
 
-    def test_determinant_two_ways_class_three(self):
+    def test_determinant_vanishes_at_roots_class_three(self):
         rng = np.random.default_rng(11)
         for _ in range(8):
-            mu = rng.uniform(-10.0, 10.0)
             d_over_b = rng.uniform(0.4, 2.5)
             l_r = int(rng.integers(0, 3))
-            direct = np.linalg.det(atom.termination_matrix(3, l_r, d_over_b, mu))
-            recur = atom.termination_determinant(3, l_r, d_over_b, mu)
-            assert abs(direct - recur) <= 1e-12 * max(1.0, abs(direct))
+            for g in atom.solve_g(3, l_r, 1.0, d_over_b):
+                model = atom.AtomParameters(b=1.0, d=d_over_b, g=g)
+                mu = atom.heun_parameters(model, l_r, atom.quantized_energy(3, l_r)).mu
+                m = atom.termination_matrix(3, l_r, d_over_b, mu)
+                # Hadamard's bound: |det| <= product of the row norms
+                assert abs(np.linalg.det(m)) <= 1e-12 * np.prod(np.linalg.norm(m, axis=1))
 
 
 def _mu_roots_by_symmetric_eigen(n_class, l_r, d_over_b):
@@ -197,6 +208,17 @@ class TestSolveG:
                 )
                 assert nodes == list(range(n_class + 1))
 
+    def test_class_24_root_is_exact(self):
+        roots = atom.solve_g(24, 0, 1.0, 1.0)
+        assert np.abs(roots - 1533.87436).min() < 1e-5
+        assert np.abs(roots - 1533.86901).min() > 1e-3
+
+    @pytest.mark.parametrize("n_class,l_r", [(30, 0), (30, 3), (40, 0), (40, 3)])
+    def test_large_classes_have_all_real_roots(self, n_class, l_r):
+        roots = atom.solve_g(n_class, l_r)
+        assert roots.shape == (n_class + 1,)
+        assert np.all(np.isfinite(roots)) and np.all(np.diff(roots) > 0)
+
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             atom.solve_g(0, 0)
@@ -242,6 +264,31 @@ class TestRadialSolution:
         for g in atom.solve_g(n_class, l_r):
             sol = atom.radial_solution(n_class, l_r, g)
             assert np.abs(atom.radial_ode_residual(sol, radii)).max() < 1e-9
+
+    def test_strong_screening_ratio(self):
+        for g in atom.solve_g(3, 0, 1.0, 20.0):
+            assert atom.radial_solution(3, 0, g, 1.0, 20.0).N == 3
+
+    @pytest.mark.parametrize("d_over_b", [0.05, 1.0])
+    def test_class_twelve_ode_residual(self, d_over_b):
+        radii = np.geomspace(1e-3, 6.0, 50)
+        for g in atom.solve_g(12, 0, 1.0, d_over_b):
+            sol = atom.radial_solution(12, 0, g, 1.0, d_over_b)
+            assert np.abs(atom.radial_ode_residual(sol, radii)).max() <= 1e-8
+
+    def test_node_counts_at_small_screening_ratio(self):
+        roots = atom.solve_g(5, 0, 1.0, 0.05)
+        assert [atom.radial_solution(5, 0, g, 1.0, 0.05).n_r for g in roots] == [5, 4, 3, 2, 1, 0]
+
+    def test_vanishing_coefficient(self):
+        # d/b = sqrt(4.5) puts a class-(2, 0) root at mu = 0, where v_1 = -mu/(3/2)
+        # vanishes and the forward ratio v_1 / v_0 is exactly zero.
+        d = math.sqrt(4.5)
+        g = atom.solve_g(2, 0, 1.0, d)[1]
+        sol = atom.radial_solution(2, 0, g, 1.0, d)
+        assert abs(sol.coefficients.values[1]) < 1e-12
+        assert sol.coefficients.values[2] == pytest.approx(-1.8, rel=1e-12)
+        assert np.abs(atom.radial_ode_residual(sol, np.geomspace(1e-3, 6.0, 50))).max() < 1e-9
 
 
 class TestNormalizeRadial:
@@ -305,3 +352,58 @@ class TestSymmetryAndEnergy:
         qn = atom.QuantumNumbers(n_s=0, l_s=0, n_r=0, l_r=0)
         model = atom.AtomParameters(b=1.0, d=1.0, g=26.0)
         assert qn.total_energy(model, 5.5) == 7.0
+
+
+def _sweep_classes():
+    """Seeded classes over N <= 60, l_r <= 4, d/b in [0.05, 20], corners included."""
+    rng = np.random.default_rng(2)
+    corners = [(60, l_r, d_over_b) for l_r in (0, 4) for d_over_b in (0.05, 20.0)]
+    drawn = [
+        (
+            int(math.exp(rng.uniform(0.0, math.log(61.0)))),
+            int(rng.integers(0, 5)),
+            float(math.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
+        )
+        for _ in range(16)
+    ]
+    return corners + drawn
+
+
+def test_exact_oracle_rejects_wrong_answers():
+    wrong_g = 1533.86901  # the class-(24, 0) root returned by the companion-matrix route
+    alpha, mu = exact_alpha_mu(24, 0, wrong_g, 1.0, 1.0)
+    assert relative_newton_steps(determinant_polynomial(24, 0, alpha), [mu]) > [1e-9]
+    sol = atom.radial_solution(2, 1, atom.solve_g(2, 1)[0])
+    alpha, mu = exact_alpha_mu(2, 1, sol.g_root, 1.0, 1.0)
+    perturbed = np.array(sol.coefficients.values) * [1.0, 1.0 + 1e-8, 1.0]
+    assert row_residual(2, 1, alpha, mu, perturbed) > 1e-9
+    assert positive_zero_count([2.0, -3.0, 1.0]) == (2, 2)  # (1 - z)(2 - z)
+    assert positive_zero_count([1.0, 0.0, 1.0]) == (0, 0)  # 1 + z^2
+
+
+@pytest.mark.parametrize("n_class,l_r,d_over_b", _sweep_classes())
+def test_truncation_sweep(n_class, l_r, d_over_b):
+    """Every root, coefficient vector and node count against exact rationals.
+
+    The node count is checked against Descartes' sign changes of P for every
+    class (an upper bound on its positive zeros), and for N <= 24 also
+    against exact signs of P between its zeros (a lower bound).  Past that,
+    rounding the monomial coefficients to floats removes zeros of P itself:
+    at N = 60, d/b = 0.05 only 16 of 60 survive, so the lower bound is no
+    longer a statement about the solution.
+    """
+    alpha = Fraction(d_over_b) ** 2
+    poly = determinant_polynomial(n_class, l_r, alpha)
+    roots = atom.solve_g(n_class, l_r, 1.0, d_over_b)
+    assert roots.shape == (n_class + 1,)
+    mus = [exact_alpha_mu(n_class, l_r, g, 1.0, d_over_b)[1] for g in roots]
+    scale = sum(max(1.0, abs(float(mu))) for mu in mus)
+    assert abs(float(sum(mus) - exact_trace(n_class, l_r, alpha))) <= 1e-10 * scale
+    assert max(relative_newton_steps(poly, mus)) <= 1e-9
+    for g, mu in zip(roots, mus):
+        sol = atom.radial_solution(n_class, l_r, g, 1.0, d_over_b)
+        assert row_residual(n_class, l_r, alpha, mu, sol.coefficients.values) <= 1e-10
+        lower, upper = positive_zero_count(sol.polynomial_coefficients())
+        assert upper == sol.n_r
+        if n_class <= 24:
+            assert lower == sol.n_r

@@ -1,11 +1,14 @@
 """CLI contract tests: output formats, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import screened_hookium
+from screened_hookium import cli
 from screened_hookium.cli import main
 
 
@@ -91,6 +94,40 @@ class TestVerify:
         _, rows = parse_csv(out)
         assert "FAIL" in {r["status"] for r in rows}
         assert "verification failure" in err
+
+    def test_grid_warning_gets_failing_check(self, capsys, monkeypatch):
+        solve = cli.radial_eigensolve
+
+        def warn_above_20(atom, *args, **kwargs):
+            pairs = solve(atom, *args, **kwargs)
+            return [dataclasses.replace(p, grid_warning=atom.g > 20.0) for p in pairs]
+
+        monkeypatch.setattr(cli, "radial_eigensolve", warn_above_20)
+        code, out, err = run(capsys, ["verify", "--N", "1", "--lr", "0", "--format", "json"])
+        assert code == 3
+        doc = json.loads(out)
+        assert [r["status"] for r in doc["results"]] == ["PASS", "FAIL"]
+        failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert failed == ["grid[g=26]"]
+        assert "1 of 2 root(s) failed" in err
+
+    def test_missing_node_match_gets_failing_check(self, capsys, monkeypatch):
+        solve = cli.radial_eigensolve
+
+        def shifted_nodes(*args, **kwargs):
+            return [dataclasses.replace(p, node_count=p.node_count + 5) for p in solve(*args, **kwargs)]
+
+        monkeypatch.setattr(cli, "radial_eigensolve", shifted_nodes)
+        code, out, err = run(capsys, ["verify", "--N", "1", "--lr", "0"])
+        assert code == 3
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["FAIL", "FAIL"]
+        comments = [ln for ln in out.splitlines() if "node_match" in ln]
+        assert comments == [
+            "# node_match[g=12]: FAIL (observed [5, 6, 7], tol 1)",
+            "# node_match[g=26]: FAIL (observed [5, 6], tol 0)",
+        ]
+        assert "2 of 2 root(s) failed" in err
 
     def test_class_two_all_roots_pass(self, capsys):
         code, out, _ = run(capsys, ["verify", "--N", "2", "--lr", "0"])
@@ -200,6 +237,11 @@ class TestExitCodes:
             ["figure", "fig2", "--out", "/nonexistent-dir/figure.csv"],
         )
         assert code == 4 and "i/o error" in err
+
+    def test_version_is_package_version(self, capsys):
+        code, out, _ = run(capsys, ["--version"])
+        assert code == 0
+        assert out.strip() == f"screened-hookium, version {screened_hookium.__version__}"
 
     def test_help_exits_cleanly(self, capsys):
         code, out, _ = run(capsys, ["--help"])
