@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from numpy.polynomial.hermite import hermgauss
 from scipy.linalg import eigvalsh_tridiagonal
 
 from . import heun
@@ -373,12 +374,38 @@ def radial_solution(N: int, l_r: int, g_root: float, b: float = 1.0, d: float = 
     )
 
 
-def normalize_radial(sol: PolynomialSolution) -> PolynomialSolution:
-    """Rescale so that the radial norm integral of R^2 r^2 equals 1 (idempotent)."""
-    from . import oracle
+def _half_line_gauss(n: int, b: float):
+    """Nodes r >= 0 and weights w of the half-line Gauss-Hermite rule.
 
-    norm2 = oracle.quadrature(lambda r: sol.radial(r) ** 2 * r**2, 0.0, math.inf, tol=1e-13)
-    return replace(sol, normalization=sol.normalization / math.sqrt(norm2))
+    sum w_i f(r_i) = int_0^oo f(r) exp(-r^2/b^2) dr exactly for every even
+    polynomial f of degree < 2n: the n-point Hermite rule is symmetric, so the
+    half line takes its nonnegative nodes, with half weight at r = 0.
+    """
+    x, w = hermgauss(n)
+    keep = x >= 0.0
+    return b * x[keep], b * np.where(x[keep] == 0.0, 0.5, 1.0) * w[keep]
+
+
+def _radial_norm2(pz: np.ndarray, l_r: int, b: float, d: float) -> float:
+    """int_0^oo [(r/d)^l_r (1 + z) P(z)]^2 exp(-r^2/b^2) r^2 dr with z = (r/d)^2.
+
+    P has ascending coefficients pz in z; the integrand is an even polynomial
+    of degree 4 deg(P) + 2 l_r + 6 times the Gaussian, so the Gauss rule with
+    2 deg(P) + l_r + 4 nodes is exact.
+    """
+    r, w = _half_line_gauss(2 * pz.size + l_r + 2, b)
+    z = (r / d) ** 2
+    return float(w @ ((r / d) ** l_r * (1.0 + z) * npoly.polyval(z, pz) * r) ** 2)
+
+
+def normalize_radial(sol: PolynomialSolution) -> PolynomialSolution:
+    """Rescale so that the radial norm integral of R^2 r^2 equals 1 (idempotent).
+
+    The norm integral is a polynomial times a Gaussian, which the half-line
+    Gauss-Hermite rule integrates exactly.
+    """
+    norm2 = _radial_norm2(sol.polynomial_coefficients(), sol.l_r, sol.atom.b, sol.atom.d)
+    return replace(sol, normalization=1.0 / math.sqrt(norm2))
 
 
 def radial_ode_residual(sol: PolynomialSolution, radii) -> np.ndarray:

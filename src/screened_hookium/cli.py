@@ -13,7 +13,6 @@ import math
 
 import click
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import __version__
 from . import limits as limits_mod
@@ -188,12 +187,12 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_
         rel = abs(match.eigenvalue - sol.energy_r) / abs(sol.energy_r)
         r_pts = match.grid.points()
         u_exact = r_pts * sol.radial(r_pts)
-        u_exact /= math.sqrt(trapezoid(u_exact**2, r_pts))
+        u_exact /= math.sqrt(np.trapezoid(u_exact**2, r_pts))
         u_num = match.u_values.copy()
         peak = int(np.argmax(np.abs(u_num)))
         if u_num[peak] * u_exact[peak] < 0:
             u_num = -u_num
-        l2 = math.sqrt(trapezoid((u_num - u_exact) ** 2, r_pts))
+        l2 = math.sqrt(np.trapezoid((u_num - u_exact) ** 2, r_pts))
         ok = rel <= tol and l2 <= l2_tol and resid <= resid_tol and not match.grid_warning
         failures += 0 if ok else 1
         rows.append({"g": float(g), "n_r": sol.n_r, "E_exact": sol.energy_r,

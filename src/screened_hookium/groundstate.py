@@ -4,7 +4,8 @@ The node-less member of the degree-1, l_r = 0 class assembles into an explicit
 pair wavefunction whose one-body density has a closed form; the density
 normalization (integral = 2 electrons) fixes the overall constant.  The pair
 factors carry only even powers of the separation, so there is no coalescence
-cusp.
+cusp.  Every l_r = 0 class has a numeric density from an exact Gauss rule,
+since |Psi|^2 is a polynomial times Gaussians.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from . import oracle
 from .atom import (
     AtomParameters,
     PolynomialSolution,
+    _half_line_gauss,
+    _radial_norm2,
     assemble_total_energy,
     normalize_radial,
     quantized_energy,
@@ -65,14 +68,13 @@ class DensityProfile:
 
 
 def ground_state(b: float = 1.0, d: float = 1.0) -> GroundState:
-    """Construct the node-less degree-1 ground state for confinement shape (b, d)."""
-    roots = solve_g(1, 0, b=b, d=d)
-    for g in roots:
-        sol = radial_solution(1, 0, g, b=b, d=d)
-        if sol.n_r == 0:
-            break
-    else:  # pragma: no cover - the class always contains a node-less member
-        raise ConsistencyError("no node-less root found in the N=1, l_r=0 class")
+    """Construct the node-less degree-1 ground state for confinement shape (b, d).
+
+    The i-th coupling in ascending order has n_r = N - i nodes, so the
+    node-less member is the largest coupling of the class.
+    """
+    g = solve_g(1, 0, b=b, d=d)[-1]
+    sol = radial_solution(1, 0, g, b=b, d=d)
     v1 = sol.coefficients.values[1]
     norm = normalization_constant(sol.atom, v1)
     total = assemble_total_energy(
@@ -119,32 +121,6 @@ def _density_bracket(v1: float, t: float, y2):
     )
 
 
-def _bracket_coefficients(v1: float, t: float) -> np.ndarray:
-    """Ascending coefficients of the density bracket as a polynomial in y^2."""
-    c = np.zeros(5)
-    c[0] = (
-        945.0 * v1**2
-        + 32.0 * t**6 * 12.0 * (1.0 - v1)
-        + 24.0 * t**4 * (10.0 + 10.0 * v1 * (v1 - 4.0))
-        + 16.0 * t**8 * 16.0
-        + 840.0 * v1 * t**2 * (v1 - 1.0)
-    )
-    c[1] = (
-        32.0 * t**6 * 10.0 * (1.0 + v1 * (v1 - 4.0))
-        + 24.0 * t**4 * 70.0 * v1 * (v1 - 1.0)
-        + 16.0 * t**8 * (16.0 - 16.0 * v1)
-        + 840.0 * v1 * t**2 * 3.0 * v1
-    )
-    c[2] = (
-        32.0 * t**6 * 21.0 * v1 * (v1 - 1.0)
-        + 24.0 * t**4 * 63.0 * v1**2
-        + 16.0 * t**8 * (4.0 * v1**2 - 16.0 * v1 + 4.0)
-    )
-    c[3] = 32.0 * t**6 * 9.0 * v1**2 + 16.0 * t**8 * (4.0 * v1**2 - 4.0 * v1)
-    c[4] = 16.0 * t**8 * v1**2
-    return c
-
-
 def _density_closed(atom: AtomParameters, v1: float, ncal: float, r1):
     r1 = np.asarray(r1, dtype=float)
     b, d = atom.b, atom.d
@@ -169,19 +145,13 @@ def density_closed_form(gs: GroundState, r1):
 def normalization_constant(atom: AtomParameters, v1: float) -> float:
     """The constant N making the one-body density integrate to 2 electrons.
 
-    Computed in closed form through Gaussian moments
-    int_0^oo y^{2k+2} e^{-(d/b)^2 y^2} dy = Gamma(k + 3/2) / (2 (d/b)^{2k+3}),
-    then guarded by adaptive quadrature of the resulting density; a relative
-    disagreement beyond 1e-10 raises.
+    Psi factors into the pseudorelative oscillator ground state and the
+    radial function of P(z) = 1 - v1 z, so N is that radial normalization
+    (an exact Gauss-Hermite rule, see `normalize_radial`) times d^{3/2}.  It
+    is guarded by adaptive quadrature of the paper's closed-form density; a
+    relative disagreement beyond 1e-10 raises.
     """
-    t = atom.d / atom.b
-    coeffs = _bracket_coefficients(v1, t)
-    moment_sum = sum(
-        c * math.gamma(k + 1.5) / (2.0 * t ** (2 * k + 3)) for k, c in enumerate(coeffs)
-    )
-    # integral of the density = N^2 / (128 t^8) * moment_sum
-    per_n2 = moment_sum / (128.0 * t**8)
-    ncal = math.sqrt(2.0 / per_n2)
+    ncal = atom.d**1.5 / math.sqrt(_radial_norm2(np.array([1.0, -v1]), 0, atom.b, atom.d))
     check = oracle.quadrature(
         lambda r: 4.0 * math.pi * r**2 * _density_closed(atom, v1, ncal, r),
         0.0,
@@ -190,7 +160,7 @@ def normalization_constant(atom: AtomParameters, v1: float) -> float:
     )
     if abs(check - 2.0) > 1e-10 * 2.0:
         raise ConsistencyError(
-            f"moment-based normalization disagrees with quadrature: integral = {check!r}"
+            f"radial-route normalization disagrees with quadrature: integral = {check!r}"
         )
     return ncal
 
@@ -208,37 +178,37 @@ def density_profile(
     return DensityProfile(radii=radii, values=values, normalization=gs.normalization)
 
 
-def density_numeric(sol: PolynomialSolution, r1: float) -> float:
-    """One-body density of an l_r = 0 pair state by quadrature (no closed form).
+def density_numeric(sol: PolynomialSolution, r1):
+    """One-body density of an l_r = 0 pair state of any class at r1 (scalar or array).
 
-    Works for any termination class N: the inner angular integral is exact
-    Gauss-Legendre (the integrand is polynomial in cos theta), the outer radial
-    integral adaptive.  The solution is normalized internally, so passing an
-    unnormalized one is fine.
+    |Psi|^2 integrated over the second electron is a polynomial in cos theta
+    and r2 times exp(-r2^2/b^2), so a tensor rule is exact: Gauss-Legendre
+    in cos theta and the half-line Gauss-Hermite rule in r2.  The solution
+    is normalized internally, so passing an unnormalized one is fine.
     """
     if sol.l_r != 0:
         raise DomainError("numeric density is implemented for l_r = 0 states only")
     sol = normalize_radial(sol)
     b, d = sol.atom.b, sol.atom.d
-    amp2 = sol.normalization**2
-    poly = sol.polynomial_coefficients()
-    nodes, weights = np.polynomial.legendre.leggauss(sol.N + 4)
-
-    def shell(r2: float) -> float:
-        u2 = r1**2 + r2**2 - 2.0 * r1 * r2 * nodes
-        z = u2 / (2.0 * d**2)
-        q = (1.0 + z) ** 2 * npoly.polyval(z, poly) ** 2
-        angular = float(weights @ q)
-        return angular * r2**2 * math.exp(-(r1**2 + r2**2) / b**2)
-
-    outer = oracle.quadrature(shell, 0.0, math.inf, tol=1e-12)
-    return (math.pi * b**2) ** -1.5 * amp2 * outer
+    r1 = np.asarray(r1, dtype=float)
+    cos_t, w_t = np.polynomial.legendre.leggauss(sol.N + 2)
+    r2, w2 = _half_line_gauss(2 * sol.N + 4, b)
+    x1 = r1[..., None, None]
+    z = (x1**2 + r2[:, None] ** 2 - 2.0 * x1 * r2[:, None] * cos_t) / (2.0 * d**2)
+    q = ((1.0 + z) * npoly.polyval(z, sol.polynomial_coefficients())) ** 2
+    val = (
+        (math.pi * b**2) ** -1.5
+        * sol.normalization**2
+        * np.exp(-(r1**2) / b**2)
+        * ((q @ w_t) @ (w2 * r2**2))
+    )
+    return val if val.ndim else float(val)
 
 
 def density_profile_numeric(
     sol: PolynomialSolution, r_max: float | None = None, n_points: int = 100
 ) -> DensityProfile:
-    """Sampled quadrature density for an l_r = 0 state of any class.
+    """Sampled Gauss-rule density for an l_r = 0 state of any class.
 
     Marked kind="numeric" to distinguish it from the closed form, which only
     covers the degree-1 ground state.
@@ -249,10 +219,9 @@ def density_profile_numeric(
         r_max = 6.0 * sol.atom.b
     sol = normalize_radial(sol)
     radii = np.linspace(0.0, r_max, n_points)
-    values = np.array([density_numeric(sol, float(r)) for r in radii])
     return DensityProfile(
         radii=radii,
-        values=values,
+        values=density_numeric(sol, radii),
         normalization=sol.normalization * sol.atom.d**1.5,
         kind="numeric",
     )

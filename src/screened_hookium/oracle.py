@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, trapezoid
+from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .atom import AtomParameters, relative_potential
@@ -102,7 +102,7 @@ def _solve_on_grid(atom: AtomParameters, l_r: int, grid: RadialGrid, n_states: i
     u_full = np.zeros((r.size, n_states))
     u_full[1:-1, :] = vecs
     for j in range(n_states):
-        norm = math.sqrt(trapezoid(u_full[:, j] ** 2, r))
+        norm = math.sqrt(np.trapezoid(u_full[:, j] ** 2, r))
         u_full[:, j] /= norm
     return energies, u_full, r
 

@@ -9,7 +9,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from conftest import NCAL_REF
 from screened_hookium import atom, groundstate, heun, limits, oracle
@@ -51,11 +50,11 @@ def test_c04_oracle_agreement():
 
     r = pairs26[0].grid.points()
     u_exact = r * sol26.radial(r)
-    u_exact /= math.sqrt(trapezoid(u_exact**2, r))
+    u_exact /= math.sqrt(np.trapezoid(u_exact**2, r))
     u_num = pairs26[0].u_values
     if u_num[np.argmax(np.abs(u_num))] * u_exact[np.argmax(np.abs(u_num))] < 0:
         u_num = -u_num
-    l2 = math.sqrt(trapezoid((u_num - u_exact) ** 2, r))
+    l2 = math.sqrt(np.trapezoid((u_num - u_exact) ** 2, r))
 
     sol12 = atom.radial_solution(1, 0, 12.0)
     pairs12 = oracle.radial_eigensolve(sol12.atom, 0, n_states=2)

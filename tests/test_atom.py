@@ -1,9 +1,11 @@
 """Tests for the physical model: transforms, truncation roots, exact solutions."""
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -312,6 +314,50 @@ class TestNormalizeRadial:
         a = atom.normalize_radial(sol).normalization
         b = atom.normalize_radial(scaled).normalization
         assert a == pytest.approx(b, rel=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def _gaussian_moments(count: int, l_r: int, b: float, d: float) -> tuple:
+    """int_0^oo (r/d)^{2m} r^2 exp(-r^2/b^2) dr = Gamma(m + 3/2) b^{2m+3} / (2 d^{2m}), m >= l_r."""
+    with mpmath.workdps(60):
+        b, d = mpmath.mpf(b), mpmath.mpf(d)
+        return tuple(
+            mpmath.gamma(m + 1.5) * b ** (2 * m + 3) / (2 * d ** (2 * m))
+            for m in range(l_r, l_r + count)
+        )
+
+
+def _exact_norm2(sol) -> float:
+    """int_0^oo R^2 r^2 dr of the float polynomial in sol, from exact moments at 60 digits.
+
+    R^2 r^2 = C^2 z^{l_r} S(z) r^2 exp(-r^2/b^2) with S = ((1 + z) P(z))^2 and
+    z = (r/d)^2.  The float coefficients are dyadic, so S is formed exactly
+    in integers and only its sum against the Gaussian moments is rounded.
+    """
+    pz = [Fraction(c) for c in sol.polynomial_coefficients()]
+    q = [a + c for a, c in zip(pz + [0], [0] + pz)]  # (1 + z) P(z)
+    scale = max(c.denominator for c in q)  # a power of two
+    ints = np.array([int(c * scale) for c in q], dtype=object)
+    s = np.convolve(ints, ints)
+    moments = _gaussian_moments(s.size, sol.l_r, sol.atom.b, sol.atom.d)
+    with mpmath.workdps(60):
+        total = mpmath.fdot(zip(map(mpmath.mpf, s), moments))
+        return float(mpmath.mpf(sol.normalization) ** 2 * total / scale**2)
+
+
+@pytest.mark.parametrize("n_class", [*range(1, 13), 16])
+def test_normalization_sweep(n_class):
+    """Unit norm for every root over l_r <= 4 and d/b in {0.05, ..., 20}.
+
+    The reference is exact in the float coefficients, so what remains is the
+    rounding of evaluating R in the monomial basis at the Gauss nodes.
+    """
+    tol = 1e-10 if n_class <= 12 else 1e-8
+    for l_r in range(5):
+        for d_over_b in (0.05, 0.3, 1.0, 4.0, 20.0):
+            for g in atom.solve_g(n_class, l_r, 1.0, d_over_b):
+                sol = atom.normalize_radial(atom.radial_solution(n_class, l_r, g, 1.0, d_over_b))
+                assert abs(_exact_norm2(sol) - 1.0) <= tol, (l_r, d_over_b, g)
 
 
 class TestSymmetryAndEnergy:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +248,24 @@ class TestExitCodes:
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "solve" in out and "verify" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The README's commands; `verify` is left out because its max_ode_residual and
+# the last digits of its l2_error follow rounding-level changes of the numerics.
+GOLDEN_COMMANDS = {
+    "solve": ["solve", "--N", "1", "--lr", "0", "--d-over-b", "1"],
+    "figure_fig2": ["figure", "fig2"],
+    "figure_fig3": ["figure", "fig3"],
+    "limits_small_d": ["limits", "small-d", "--g", "3.75", "--levels", "8", "--pair", "1,0,0,3"],
+    "limits_large_d": ["limits", "large-d", "--g", "1", "--d-over-b", "10", "--levels", "10"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_golden_output(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    code, _, _ = run(capsys, [*GOLDEN_COMMANDS[name], "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()

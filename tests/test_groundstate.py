@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from conftest import NCAL_REF
+from quadrature_density import density_numeric as density_quadrature
 from screened_hookium import atom, groundstate, oracle
 from screened_hookium.errors import DomainError
 
@@ -86,6 +86,12 @@ class TestDensity:
             closed = groundstate.density_closed_form(gs, r1)
             numeric = groundstate.density_numeric(sol, float(r1))
             assert abs(closed - numeric) <= 1e-8 * max(abs(closed), 1e-12)
+        for b, d in ((1.0, 0.5), (0.7, 1.4), (2.0, 3.0)):
+            state = groundstate.ground_state(b=b, d=d)
+            sol = atom.radial_solution(1, 0, state.g_root, b=b, d=d)
+            radii = np.linspace(0.0, 6.0 * b, 50)
+            closed = groundstate.density_closed_form(state, radii)
+            assert np.abs(groundstate.density_numeric(sol, radii) / closed - 1.0).max() <= 1e-13
 
     def test_integrates_to_two_electrons(self, gs):
         total = oracle.quadrature(
@@ -138,12 +144,26 @@ class TestDensity:
         assert closed.kind == "closed-form"
 
     def test_numeric_density_higher_class_integrates_to_two(self):
-        # no closed form for N = 2; the quadrature route must still hold 2
+        # no closed form for N = 2; the Gauss-rule density must still hold 2
         sol = atom.normalize_radial(atom.radial_solution(2, 0, atom.solve_g(2, 0)[2]))
         radii = np.linspace(0.0, 8.0, 81)
-        rho = np.array([groundstate.density_numeric(sol, float(r)) for r in radii])
-        total = 4.0 * math.pi * trapezoid(rho * radii**2, radii)
+        rho = groundstate.density_numeric(sol, radii)
+        total = 4.0 * math.pi * np.trapezoid(rho * radii**2, radii)
         assert total == pytest.approx(2.0, abs=1e-4)
+
+    @pytest.mark.parametrize("d_over_b", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n_class", [1, 2, 3, 4])
+    def test_gauss_density_matches_quadrature_reference(self, n_class, d_over_b):
+        # every l_r = 0 root against the nested adaptive quadrature, 24 radii on [0, 8b]
+        b = 1.3
+        d = d_over_b * b
+        radii = np.linspace(0.0, 8.0 * b, 24)
+        for g in atom.solve_g(n_class, 0, b=b, d=d):
+            sol = atom.radial_solution(n_class, 0, g, b=b, d=d)
+            gauss = groundstate.density_numeric(sol, radii)
+            reference = np.array([density_quadrature(sol, float(r)) for r in radii])
+            assert np.abs(gauss / reference - 1.0).max() <= 1e-10
+            assert groundstate.density_numeric(sol, radii[5]) == pytest.approx(gauss[5], rel=1e-14)
 
 
 class TestNormalizationConstant:
@@ -154,7 +174,7 @@ class TestNormalizationConstant:
         )
 
     def test_other_shape(self):
-        # guard quadrature inside the constructor cross-checks the moments
+        # guard quadrature inside the constructor cross-checks the radial Gauss rule
         model = atom.AtomParameters(b=1.3, d=0.9, g=26.0)
         value = groundstate.normalization_constant(model, -2.0)
         assert value > 0.0

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
 
 from screened_hookium import atom, heun, oracle
 from screened_hookium.errors import ConvergenceError, DomainError
@@ -79,7 +78,7 @@ class TestRadialEigensolve:
         r = pairs[0].grid.points()
         for i in range(4):
             for j in range(i + 1, 4):
-                overlap = trapezoid(pairs[i].u_values * pairs[j].u_values, r)
+                overlap = np.trapezoid(pairs[i].u_values * pairs[j].u_values, r)
                 assert abs(overlap) < 1e-8
 
     def test_node_theorem(self):
@@ -109,11 +108,11 @@ class TestRadialEigensolve:
             pair = oracle.radial_eigensolve(sol.atom, 0, grid, n_states=1, richardson=False)[0]
             r = grid.points()
             u_exact = r * sol.radial(r)
-            u_exact /= math.sqrt(trapezoid(u_exact**2, r))
+            u_exact /= math.sqrt(np.trapezoid(u_exact**2, r))
             u_num = pair.u_values
             if u_num[np.argmax(np.abs(u_num))] * u_exact[np.argmax(np.abs(u_num))] < 0:
                 u_num = -u_num
-            return math.sqrt(trapezoid((u_num - u_exact) ** 2, r))
+            return math.sqrt(np.trapezoid((u_num - u_exact) ** 2, r))
 
         errors = [l2_error(n) for n in (500, 1000, 2000)]
         assert errors[0] > errors[1] > errors[2]
