@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.hermite import hermgauss
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import heun
 from .errors import ConsistencyError, DomainError, TerminationError
@@ -237,7 +236,9 @@ def _mu_roots(N: int, l_r: int, alpha: float) -> np.ndarray:
     are minus the eigenvalues of the mu-free part: real and simple.
     """
     diag, sup, sub = _truncation_bands(N, l_r, alpha, 0.0)
-    return np.sort(-eigvalsh_tridiagonal(diag, np.sqrt(sup * sub)))
+    # numpy has no tridiagonal eigensolver; the dense one keeps scipy out.
+    off = np.sqrt(sup * sub)
+    return np.sort(-np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)))
 
 
 def solve_g(N: int, l_r: int, b: float = 1.0, d: float = 1.0) -> np.ndarray:
@@ -402,9 +403,15 @@ def normalize_radial(sol: PolynomialSolution) -> PolynomialSolution:
     """Rescale so that the radial norm integral of R^2 r^2 equals 1 (idempotent).
 
     The norm integral is a polynomial times a Gaussian, which the half-line
-    Gauss-Hermite rule integrates exactly.
+    Gauss-Hermite rule integrates exactly.  Raises DomainError when it is not
+    finite and positive in floating point (it overflows for large classes).
     """
     norm2 = _radial_norm2(sol.polynomial_coefficients(), sol.l_r, sol.atom.b, sol.atom.d)
+    if not (math.isfinite(norm2) and norm2 > 0.0):
+        raise DomainError(
+            f"radial norm integral is {norm2!r} for N = {sol.N}, l_r = {sol.l_r}, "
+            f"d/b = {sol.atom.d_over_b!r} (g = {sol.g_root!r}): cannot normalize"
+        )
     return replace(sol, normalization=1.0 / math.sqrt(norm2))
 
 

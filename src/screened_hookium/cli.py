@@ -26,7 +26,6 @@ from .atom import (
 )
 from .errors import DomainError, ScreenedHookiumError
 from .groundstate import density_closed_form, ground_state
-from .oracle import RadialGrid, radial_eigensolve
 
 __all__ = ["VerificationFailure", "cli", "main"]
 
@@ -158,9 +157,11 @@ def cmd_solve(n_class, l_r, d_over_b, b_len, m_nuc, fmt, out_path) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_path) -> None:
     """Check every root of a class against the independent eigensolver."""
+    from . import oracle  # loads scipy, which no other command needs
+
     d_len = d_over_b * b_len
     r_top = r_max if r_max is not None else 10.0 * b_len
-    grid = RadialGrid(r_min=1e-6 * b_len, r_max=r_top, n_points=grid_points)
+    grid = oracle.RadialGrid(r_min=1e-6 * b_len, r_max=r_top, n_points=grid_points)
     l2_tol = 1e-3
     resid_tol = 1e-9
     sample_radii = np.geomspace(1e-3 * b_len, 6.0 * b_len, 50)
@@ -171,7 +172,7 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_
     failures = 0
     for g in roots:
         sol = normalize_radial(radial_solution(n_class, l_r, g, b=b_len, d=d_len))
-        pairs = radial_eigensolve(sol.atom, l_r, grid, n_states=sol.n_r + 2)
+        pairs = oracle.radial_eigensolve(sol.atom, l_r, grid, n_states=sol.n_r + 2)
         match = next((p for p in pairs if p.node_count == sol.n_r), None)
         resid = float(np.abs(radial_ode_residual(sol, sample_radii)).max())
         tag = f"g={_fmt_csv(float(g))}"

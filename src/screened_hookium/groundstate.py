@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import oracle
 from .atom import (
     AtomParameters,
     PolynomialSolution,
@@ -148,19 +147,19 @@ def normalization_constant(atom: AtomParameters, v1: float) -> float:
     Psi factors into the pseudorelative oscillator ground state and the
     radial function of P(z) = 1 - v1 z, so N is that radial normalization
     (an exact Gauss-Hermite rule, see `normalize_radial`) times d^{3/2}.  It
-    is guarded by adaptive quadrature of the paper's closed-form density; a
+    is guarded by integrating the paper's closed-form density, a second and
+    independent formula: 4 pi r^2 rho is an even polynomial of degree 10 times
+    exp(-r^2/b^2), so the 6-node half-line Gauss-Hermite rule is exact.  A
     relative disagreement beyond 1e-10 raises.
     """
     ncal = atom.d**1.5 / math.sqrt(_radial_norm2(np.array([1.0, -v1]), 0, atom.b, atom.d))
-    check = oracle.quadrature(
-        lambda r: 4.0 * math.pi * r**2 * _density_closed(atom, v1, ncal, r),
-        0.0,
-        math.inf,
-        tol=1e-12,
-    )
+    r, w = _half_line_gauss(6, atom.b)
+    # The rule's weight function is the Gaussian, so divide it out of rho.
+    rho = _density_closed(atom, v1, ncal, r) * np.exp(r**2 / atom.b**2)
+    check = float(w @ (4.0 * math.pi * r**2 * rho))
     if abs(check - 2.0) > 1e-10 * 2.0:
         raise ConsistencyError(
-            f"radial-route normalization disagrees with quadrature: integral = {check!r}"
+            f"radial-route normalization disagrees with the closed-form density: integral = {check!r}"
         )
     return ncal
 

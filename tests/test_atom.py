@@ -315,6 +315,20 @@ class TestNormalizeRadial:
         b = atom.normalize_radial(scaled).normalization
         assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_norm_raises(self):
+        # The norm integral overflows for the 24 most repelled roots of this
+        # class; it used to come out as inf, and normalization as 0.0.
+        failed = []
+        for g in atom.solve_g(60, 2, 1.0, 0.3):
+            sol = atom.radial_solution(60, 2, g, 1.0, 0.3)
+            try:
+                assert atom.normalize_radial(sol).normalization > 0.0
+            except DomainError as exc:
+                failed.append(str(exc))
+        assert len(failed) == 24
+        assert all("N = 60, l_r = 2, d/b = 0.3 " in msg for msg in failed)
+
 
 @functools.lru_cache(maxsize=None)
 def _gaussian_moments(count: int, l_r: int, b: float, d: float) -> tuple:

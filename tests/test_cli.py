@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import screened_hookium
-from screened_hookium import cli
+from screened_hookium import cli, oracle
 from screened_hookium.cli import main
 
 
@@ -97,13 +97,13 @@ class TestVerify:
         assert "verification failure" in err
 
     def test_grid_warning_gets_failing_check(self, capsys, monkeypatch):
-        solve = cli.radial_eigensolve
+        solve = oracle.radial_eigensolve
 
         def warn_above_20(atom, *args, **kwargs):
             pairs = solve(atom, *args, **kwargs)
             return [dataclasses.replace(p, grid_warning=atom.g > 20.0) for p in pairs]
 
-        monkeypatch.setattr(cli, "radial_eigensolve", warn_above_20)
+        monkeypatch.setattr(oracle, "radial_eigensolve", warn_above_20)
         code, out, err = run(capsys, ["verify", "--N", "1", "--lr", "0", "--format", "json"])
         assert code == 3
         doc = json.loads(out)
@@ -113,12 +113,12 @@ class TestVerify:
         assert "1 of 2 root(s) failed" in err
 
     def test_missing_node_match_gets_failing_check(self, capsys, monkeypatch):
-        solve = cli.radial_eigensolve
+        solve = oracle.radial_eigensolve
 
         def shifted_nodes(*args, **kwargs):
             return [dataclasses.replace(p, node_count=p.node_count + 5) for p in solve(*args, **kwargs)]
 
-        monkeypatch.setattr(cli, "radial_eigensolve", shifted_nodes)
+        monkeypatch.setattr(oracle, "radial_eigensolve", shifted_nodes)
         code, out, err = run(capsys, ["verify", "--N", "1", "--lr", "0"])
         assert code == 3
         _, rows = parse_csv(out)

@@ -9,7 +9,7 @@ import pytest
 from conftest import NCAL_REF
 from quadrature_density import density_numeric as density_quadrature
 from screened_hookium import atom, groundstate, oracle
-from screened_hookium.errors import DomainError
+from screened_hookium.errors import ConsistencyError, DomainError
 
 
 @pytest.fixture(scope="module")
@@ -174,10 +174,19 @@ class TestNormalizationConstant:
         )
 
     def test_other_shape(self):
-        # guard quadrature inside the constructor cross-checks the radial Gauss rule
+        # the guard inside the constructor integrates the paper's closed-form
+        # density and cross-checks it against the radial Gauss rule
         model = atom.AtomParameters(b=1.3, d=0.9, g=26.0)
         value = groundstate.normalization_constant(model, -2.0)
         assert value > 0.0
+
+    def test_guard_rejects_a_wrong_radial_norm(self, monkeypatch):
+        radial_norm2 = groundstate._radial_norm2
+        monkeypatch.setattr(
+            groundstate, "_radial_norm2", lambda *args: radial_norm2(*args) * (1.0 + 1e-9)
+        )
+        with pytest.raises(ConsistencyError, match="closed-form density"):
+            groundstate.ground_state()
 
 
 class TestCusp:
