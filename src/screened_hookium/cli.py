@@ -16,6 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import limits as limits_mod
+from . import oracle
 from .atom import (
     AtomParameters,
     assemble_total_energy,
@@ -150,18 +151,15 @@ def cmd_solve(n_class, l_r, d_over_b, b_len, m_nuc, fmt, out_path) -> None:
 @click.option("--lr", "l_r", type=int, required=True)
 @click.option("--d-over-b", type=float, default=1.0, show_default=True)
 @click.option("--b", "b_len", type=float, default=1.0, show_default=True)
-@click.option("--grid-points", type=int, default=4000, show_default=True, help="Eigensolver grid points.")
-@click.option("--rmax", "r_max", type=float, default=None, help="Eigensolver grid extent [default: 10 b].")
-@click.option("--tol", type=float, default=1e-4, show_default=True, help="Relative eigenvalue tolerance.")
+@click.option("--tol", type=float, default=1e-10, show_default=True, help="Relative eigenvalue tolerance.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_path) -> None:
+def cmd_verify(n_class, l_r, d_over_b, b_len, tol, fmt, out_path) -> None:
     """Check every root of a class against the independent eigensolver."""
-    from . import oracle  # loads scipy, which no other command needs
-
     d_len = d_over_b * b_len
-    r_top = r_max if r_max is not None else 10.0 * b_len
-    grid = oracle.RadialGrid(r_min=1e-6 * b_len, r_max=r_top, n_points=grid_points)
+    # The DVR is exact for class N from N + 1 functions on; the margin
+    # converges the neighbouring states that the node match tells apart.
+    n_basis = n_class + 12
     l2_tol = 1e-3
     resid_tol = 1e-9
     sample_radii = np.geomspace(1e-3 * b_len, 6.0 * b_len, 50)
@@ -172,7 +170,7 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_
     failures = 0
     for g in roots:
         sol = normalize_radial(radial_solution(n_class, l_r, g, b=b_len, d=d_len))
-        pairs = oracle.radial_eigensolve(sol.atom, l_r, grid, n_states=sol.n_r + 2)
+        pairs = oracle.radial_eigensolve(sol.atom, l_r, n_states=sol.n_r + 2, n_basis=n_basis)
         match = next((p for p in pairs if p.node_count == sol.n_r), None)
         resid = float(np.abs(radial_ode_residual(sol, sample_radii)).max())
         tag = f"g={_fmt_csv(float(g))}"
@@ -186,15 +184,16 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_
             failures += 1
             continue
         rel = abs(match.eigenvalue - sol.energy_r) / abs(sol.energy_r)
-        r_pts = match.grid.points()
-        u_exact = r_pts * sol.radial(r_pts)
-        u_exact /= math.sqrt(np.trapezoid(u_exact**2, r_pts))
-        u_num = match.u_values.copy()
+        # Both states lie in the span of the basis, so the Gauss sums are exact.
+        u_exact = match.radii * sol.radial(match.radii)
+        u_exact /= math.sqrt(np.sum(match.weights * u_exact**2))
+        u_num = match.u_values
         peak = int(np.argmax(np.abs(u_num)))
         if u_num[peak] * u_exact[peak] < 0:
             u_num = -u_num
-        l2 = math.sqrt(np.trapezoid((u_num - u_exact) ** 2, r_pts))
-        ok = rel <= tol and l2 <= l2_tol and resid <= resid_tol and not match.grid_warning
+        l2 = math.sqrt(np.sum(match.weights * (u_num - u_exact) ** 2))
+        basis_ok = match.basis_change <= tol
+        ok = rel <= tol and l2 <= l2_tol and resid <= resid_tol and basis_ok
         failures += 0 if ok else 1
         rows.append({"g": float(g), "n_r": sol.n_r, "E_exact": sol.energy_r,
                      "E_oracle": match.eigenvalue, "eig_rel_err": rel,
@@ -206,12 +205,12 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, grid_points, r_max, tol, fmt, out_
                        "tolerance": l2_tol, "observed": l2})
         checks.append({"name": f"ode_residual[{tag}]", "passed": resid <= resid_tol,
                        "tolerance": resid_tol, "observed": resid})
-        if match.grid_warning:
-            checks.append({"name": f"grid[{tag}]", "passed": False,
-                           "tolerance": False, "observed": True})
+        if not basis_ok:
+            checks.append({"name": f"basis[{tag}]", "passed": False,
+                           "tolerance": tol, "observed": match.basis_change})
 
     params = {"N": n_class, "lr": l_r, "d_over_b": d_over_b, "b": b_len,
-              "grid_points": grid_points, "rmax": r_top, "tol": tol}
+              "n_basis": n_basis, "tol": tol}
     columns = ["g", "n_r", "E_exact", "E_oracle", "eig_rel_err", "l2_error",
                "max_ode_residual", "node_oracle", "status"]
     comment_checks = [f"{c['name']}: {'PASS' if c['passed'] else 'FAIL'} "

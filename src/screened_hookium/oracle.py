@@ -1,28 +1,26 @@
 """Independent numerical verification machinery.
 
-A finite-difference eigensolver for the reduced radial problem, a fixed-step
-integrator for the confluent Heun equation, and adaptive quadrature.  Nothing
-here reuses the analytic solution formulas beyond the potential definition,
-so agreement with the closed forms is a genuine cross-check.
+A Laguerre discrete-variable-representation (DVR) eigensolver for the
+reduced radial problem, a fixed-step integrator for the confluent Heun
+equation, and adaptive quadrature.  Nothing here reuses the analytic solution
+formulas beyond the potential definition, so agreement with the closed forms
+is a genuine cross-check.  Only `quadrature` needs scipy, which it imports
+when it is called.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
 
 from .atom import AtomParameters, relative_potential
 from .errors import ConvergenceError, DomainError
 from .heun import HeunParameters
 
 __all__ = [
-    "RadialGrid",
     "OracleEigenpair",
-    "default_grid",
     "radial_eigensolve",
     "integrate_heun_ode",
     "quadrature",
@@ -30,122 +28,98 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RadialGrid:
-    """Uniform radial grid; r_min is a small positive offset, never exactly 0."""
-
-    r_min: float
-    r_max: float
-    n_points: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r_min < self.r_max:
-            raise DomainError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        if self.n_points < 100:
-            raise DomainError(f"n_points must be >= 100, got {self.n_points}")
-
-    @property
-    def h(self) -> float:
-        return (self.r_max - self.r_min) / (self.n_points - 1)
-
-    def points(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.n_points)
-
-    def refined(self) -> "RadialGrid":
-        """Grid with exactly half the spacing (for Richardson extrapolation)."""
-        return replace(self, n_points=2 * self.n_points - 1)
-
-
-def default_grid(b: float = 1.0) -> RadialGrid:
-    """r_min = 1e-6 b, r_max = 10 b, 4000 points; generous for Gaussian decay."""
-    return RadialGrid(r_min=1e-6 * b, r_max=10.0 * b, n_points=4000)
-
-
-@dataclass(frozen=True)
 class OracleEigenpair:
     """One numerically computed bound state of the relative radial problem.
 
-    u = r R is the reduced wavefunction, normalized to unit integral of u^2 dr
-    on the grid; node_count counts interior sign changes.  grid_warning is set
-    when the two-grid Richardson step finds the discretization too coarse to
-    trust.
+    u = r R is the reduced wavefunction, unit-normalized, given by its values
+    u_values at the DVR radii; sum(weights * f**2) is the exact integral of
+    f**2 dr for every f in the span of the basis.  node_count counts sign
+    changes in the classically allowed region.  basis_change is the relative
+    eigenvalue change when the basis size is doubled.
     """
 
     eigenvalue: float
-    u_values: np.ndarray
     node_count: int
-    grid: RadialGrid
-    grid_warning: bool = False
+    radii: np.ndarray
+    weights: np.ndarray
+    u_values: np.ndarray
+    basis_change: float
 
 
-def _count_sign_changes(u: np.ndarray) -> int:
-    peak = np.max(np.abs(u))
-    if peak == 0.0:
-        return 0
-    signs = np.sign(u[np.abs(u) > 1e-8 * peak])
-    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+def _oscillator_functions(l_r: int, b: float, r: np.ndarray, n_basis: int) -> np.ndarray:
+    """Reduced oscillator eigenfunctions chi_n(r), n < n_basis, unit-normalized in dr.
 
-
-def _solve_on_grid(atom: AtomParameters, l_r: int, grid: RadialGrid, n_states: int):
-    """Eigenpairs of -u'' + W u = k^2 u on the interior nodes, Dirichlet ends.
-
-    W = r^2/b^4 + g/(r^2 + d^2) + l(l+1)/r^2 = 2 V_rel + centrifugal term;
-    E_r = k^2 / 2.
+    chi_n = sqrt(2r)/b * x^(alpha/2) e^(-x/2) p_n(x), x = r^2/b^2, where p_n
+    are the orthonormal Laguerre polynomials for the weight x^alpha e^-x,
+    alpha = l_r + 1/2, built by their three-term recurrence.
     """
-    r = grid.points()
-    h = grid.h
-    inner = r[1:-1]
-    w = 2.0 * relative_potential(inner, atom) + l_r * (l_r + 1) / inner**2
-    diag = 2.0 / h**2 + w
-    off = np.full(inner.size - 1, -1.0 / h**2)
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
-    energies = vals / 2.0
-    u_full = np.zeros((r.size, n_states))
-    u_full[1:-1, :] = vecs
-    for j in range(n_states):
-        norm = math.sqrt(np.trapezoid(u_full[:, j] ** 2, r))
-        u_full[:, j] /= norm
-    return energies, u_full, r
+    alpha = l_r + 0.5
+    x = (r / b) ** 2
+    chi = np.empty((n_basis, r.size))
+    chi[0] = np.sqrt(2.0 * r) / b * np.exp(
+        0.5 * (alpha * np.log(x) - x - math.lgamma(alpha + 1.0)))
+    prev = np.zeros_like(r)
+    for n in range(n_basis - 1):
+        chi[n + 1] = ((2 * n + alpha + 1.0 - x) * chi[n] - math.sqrt(n * (n + alpha)) * prev
+                      ) / math.sqrt((n + 1) * (n + 1 + alpha))
+        prev = chi[n]
+    return chi
+
+
+def _dvr(atom: AtomParameters, l_r: int, n_basis: int):
+    """Eigenvalues, eigenvectors, Laguerre-node radii and basis map T of the DVR.
+
+    The nodes x_k and the orthogonal T come from the Laguerre Jacobi matrix
+    (Golub-Welsch); H = T^T diag(eps_n) T + diag(V_int(r_k)) with the oscillator
+    energies eps_n = (2n + l_r + 3/2)/b^2, which already hold r^2/(2 b^4).
+    The signs of T's columns are arbitrary and cancel in c = T v.
+    """
+    alpha = l_r + 0.5
+    n = np.arange(n_basis)
+    off = -np.sqrt(n[1:] * (n[1:] + alpha))
+    x, t = np.linalg.eigh(np.diag(2.0 * n + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1))
+    r = atom.b * np.sqrt(x)
+    eps = (2.0 * n + l_r + 1.5) / atom.b**2
+    energies, vecs = np.linalg.eigh((t.T * eps) @ t + np.diag(0.5 * atom.g / (r**2 + atom.d**2)))
+    return energies, vecs, r, t
 
 
 def radial_eigensolve(
-    atom: AtomParameters,
-    l_r: int,
-    grid: RadialGrid | None = None,
-    n_states: int = 3,
-    richardson: bool = True,
-    coarse_tol: float = 1e-2,
+    atom: AtomParameters, l_r: int, n_states: int = 3, n_basis: int = 24
 ) -> list[OracleEigenpair]:
     """Lowest eigenpairs of the relative radial problem, eigenvalues ascending.
 
-    With richardson=True (default) the solve is repeated on the half-spacing
-    grid and the reported eigenvalues are the h^2-extrapolated combination
-    (4 E_fine - E_coarse)/3; eigenfunctions stay on the requested grid.  A
-    relative two-grid disagreement beyond coarse_tol flags the result.
+    Solved in an n_basis-point generalised Gauss-Laguerre DVR.  An exact
+    state of class N lies in the span of the first N + 1 oscillator functions
+    and so does V R = (E - H0) R, so E is an eigenvalue for every
+    n_basis >= N + 1.  The solve is repeated at 2 n_basis for basis_change.
     """
     if l_r < 0:
         raise DomainError(f"l_r must be nonnegative, got {l_r}")
-    if n_states < 1:
-        raise DomainError(f"n_states must be >= 1, got {n_states}")
-    if grid is None:
-        grid = default_grid(atom.b)
-    energies, u_full, r = _solve_on_grid(atom, l_r, grid, n_states)
-    warning = False
-    if richardson:
-        fine_e, _, _ = _solve_on_grid(atom, l_r, grid.refined(), n_states)
-        change = np.abs(fine_e - energies) / np.maximum(np.abs(fine_e), 1e-30)
-        warning = bool((change > coarse_tol).any())
-        energies = (4.0 * fine_e - energies) / 3.0
+    if not 1 <= n_states <= n_basis <= 300:
+        raise DomainError(f"need 1 <= n_states <= n_basis <= 300, got {n_states} and {n_basis}")
+    energies, vecs, r, t = _dvr(atom, l_r, n_basis)
+    energies = energies[:n_states]
+    larger = _dvr(atom, l_r, 2 * n_basis)[0][:n_states]
+    change = np.abs(larger - energies) / np.maximum(np.abs(larger), 1e-300)
+    coeffs = t @ vecs[:, :n_states]  # oscillator coefficients, free of T's column signs
+    at_nodes = _oscillator_functions(l_r, atom.b, r, n_basis)
+    weights = 1.0 / np.sum(at_nodes**2, axis=0)  # Christoffel numbers in dr
+    u_nodes = coeffs.T @ at_nodes
+    # Count sign changes only where V < E.  Where V > E, u'' = 2(V - E)u
+    # bends u away from zero, so the forbidden tails hold no node (only the
+    # truncation ripple), and a barrier between two allowed stretches holds
+    # at most one, which the signs on either side still count.
+    fine = np.linspace(0.0, r[-1], 8 * n_basis + 1)[1:]
+    u_fine = coeffs.T @ _oscillator_functions(l_r, atom.b, fine, n_basis)
+    well = relative_potential(fine, atom) + l_r * (l_r + 1) / (2.0 * fine**2)
     pairs = []
     for j in range(n_states):
-        pairs.append(
-            OracleEigenpair(
-                eigenvalue=float(energies[j]),
-                u_values=u_full[:, j],
-                node_count=_count_sign_changes(u_full[1:-1, j]),
-                grid=grid,
-                grid_warning=warning,
-            )
-        )
+        signs = np.sign(u_fine[j, well < energies[j]])
+        pairs.append(OracleEigenpair(
+            eigenvalue=float(energies[j]),
+            node_count=int(np.count_nonzero(signs[1:] != signs[:-1])),
+            radii=r, weights=weights, u_values=u_nodes[j], basis_change=float(change[j])))
     return pairs
 
 
@@ -226,6 +200,8 @@ def integrate_heun_ode(params: HeunParameters, xi_end: float, steps: int = 4000)
 
 
 def _quad_finite(f, a: float, b: float, tol: float) -> float:
+    from scipy.integrate import quad  # the only scipy use; loaded on first call
+
     out = quad(f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)
     if len(out) > 3:
         raise ConvergenceError(f"quadrature on [{a}, {b}] did not converge: {out[3]}")

@@ -96,20 +96,22 @@ class TestVerify:
         assert "FAIL" in {r["status"] for r in rows}
         assert "verification failure" in err
 
-    def test_grid_warning_gets_failing_check(self, capsys, monkeypatch):
+    def test_basis_disagreement_gets_failing_check(self, capsys, monkeypatch):
         solve = oracle.radial_eigensolve
 
-        def warn_above_20(atom, *args, **kwargs):
+        def disagree_above_20(atom, *args, **kwargs):
             pairs = solve(atom, *args, **kwargs)
-            return [dataclasses.replace(p, grid_warning=atom.g > 20.0) for p in pairs]
+            return [dataclasses.replace(p, basis_change=1e-6 if atom.g > 20.0 else p.basis_change)
+                    for p in pairs]
 
-        monkeypatch.setattr(oracle, "radial_eigensolve", warn_above_20)
+        monkeypatch.setattr(oracle, "radial_eigensolve", disagree_above_20)
         code, out, err = run(capsys, ["verify", "--N", "1", "--lr", "0", "--format", "json"])
         assert code == 3
         doc = json.loads(out)
         assert [r["status"] for r in doc["results"]] == ["PASS", "FAIL"]
-        failed = [c["name"] for c in doc["checks"] if not c["passed"]]
-        assert failed == ["grid[g=26]"]
+        failed = [c for c in doc["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["basis[g=26]"]
+        assert failed[0]["observed"] == 1e-6 and failed[0]["tolerance"] == 1e-10
         assert "1 of 2 root(s) failed" in err
 
     def test_missing_node_match_gets_failing_check(self, capsys, monkeypatch):

@@ -1,4 +1,5 @@
-"""Every path except `verify` and the oracle runs without scipy.
+"""Every command and the oracle's eigensolver run without scipy; only
+`oracle.quadrature`, the adaptive reference of the tests, loads it.
 
 Each check runs in a fresh interpreter, since this test process has scipy
 loaded already.
@@ -39,7 +40,7 @@ def run_python(code: str) -> None:
 def test_import_leaves_scipy_out():
     run_python(
         "import sys\n"
-        "import screened_hookium, screened_hookium.cli\n"
+        "import screened_hookium, screened_hookium.cli, screened_hookium.oracle\n"
         "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "assert not loaded, loaded\n"
     )
@@ -54,10 +55,10 @@ def test_commands_run_without_scipy(tmp_path):
         + """
 for argv in (["solve", "--N", "2", "--lr", "1"], ["figure", "fig2"], ["figure", "fig3"],
              ["limits", "small-d", "--g", "3.75", "--pair", "1,0,0,3"],
-             ["limits", "large-d", "--g", "1"]):
+             ["limits", "large-d", "--g", "1"], ["verify", "--N", "2", "--lr", "0"]):
     assert cli.main([*argv, "--out", out]) == 0, argv
 try:
-    import screened_hookium.oracle
+    cli.oracle.quadrature(lambda x: x, 0.0, 1.0)
 except ModuleNotFoundError:
     pass
 else:
@@ -80,6 +81,6 @@ assert profile.kind == "numeric" and (profile.values >= 0.0).all()
     )
 
 
-def test_oracle_names_resolve_lazily():
+def test_oracle_names_are_package_names():
     assert screened_hookium.radial_eigensolve is screened_hookium.oracle.radial_eigensolve
-    assert screened_hookium.RadialGrid is screened_hookium.oracle.RadialGrid
+    assert screened_hookium.OracleEigenpair is screened_hookium.oracle.OracleEigenpair

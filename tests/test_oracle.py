@@ -9,87 +9,92 @@ from screened_hookium import atom, heun, oracle
 from screened_hookium.errors import ConvergenceError, DomainError
 
 
-class TestRadialGrid:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            oracle.RadialGrid(r_min=0.0, r_max=10.0, n_points=500)
-        with pytest.raises(DomainError):
-            oracle.RadialGrid(r_min=2.0, r_max=1.0, n_points=500)
-        with pytest.raises(DomainError):
-            oracle.RadialGrid(r_min=1e-6, r_max=10.0, n_points=50)
-
-    def test_refined_halves_spacing_exactly(self):
-        grid = oracle.RadialGrid(r_min=1e-6, r_max=10.0, n_points=4000)
-        assert grid.refined().h == pytest.approx(grid.h / 2.0, rel=1e-15)
-
-    def test_default(self):
-        grid = oracle.default_grid(2.0)
-        assert grid.r_min == pytest.approx(2e-6)
-        assert grid.r_max == 20.0
-        assert grid.n_points == 4000
-
-
 class TestRadialEigensolve:
+    def test_validation(self):
+        model = atom.AtomParameters(b=1.0, d=1.0, g=26.0)
+        for kwargs in ({"n_states": 0}, {"n_states": 25}, {"n_basis": 301}):
+            with pytest.raises(DomainError):
+                oracle.radial_eigensolve(model, 0, **kwargs)
+        with pytest.raises(DomainError):
+            oracle.radial_eigensolve(model, -1)
+
     def test_oscillator_spectrum(self):
-        # g = 0 reduces to the isotropic oscillator: E = (2n + l + 3/2)/b^2
-        model = atom.AtomParameters(b=1.0, d=1.0, g=0.0)
-        pairs = oracle.radial_eigensolve(model, 0, n_states=3, richardson=False)
-        for pair, exact in zip(pairs, (1.5, 3.5, 5.5)):
-            assert abs(pair.eigenvalue - exact) < 1e-5
+        # g = 0 is the isotropic oscillator, E = (2n + l + 3/2)/b^2 with n
+        # nodes.  The first row of T sinks to rounding noise and, from
+        # n_basis ~ 100 on, to exact zeros, so fixing the column signs of T
+        # by it would zero whole columns.
+        model = atom.AtomParameters(b=1.3, d=1.0, g=0.0)
+        for n_basis in (24, 100, 200):
+            for l_r in (0, 3):
+                pairs = oracle.radial_eigensolve(model, l_r, n_states=n_basis, n_basis=n_basis)
+                exact = (2.0 * np.arange(n_basis) + l_r + 1.5) / 1.3**2
+                assert np.abs([p.eigenvalue for p in pairs] - exact).max() < 1e-12 * exact[-1]
+                assert [p.node_count for p in pairs] == list(range(n_basis))
 
     def test_exact_coupling_eigenvalue_and_nodes(self):
         model = atom.AtomParameters(b=1.0, d=1.0, g=26.0)
         pairs = oracle.radial_eigensolve(model, 0, n_states=2)
-        assert abs(pairs[0].eigenvalue - 5.5) / 5.5 < 1e-4
+        assert abs(pairs[0].eigenvalue - 5.5) / 5.5 < 1e-13
         assert pairs[0].node_count == 0
-        assert not pairs[0].grid_warning
+        assert pairs[0].basis_change < 1e-13
 
     def test_excited_exact_state_has_one_node(self):
         model = atom.AtomParameters(b=1.0, d=1.0, g=12.0)
         pairs = oracle.radial_eigensolve(model, 0, n_states=2)
-        assert abs(pairs[1].eigenvalue - 5.5) / 5.5 < 1e-4
+        assert abs(pairs[1].eigenvalue - 5.5) / 5.5 < 1e-13
         assert pairs[1].node_count == 1
 
-    def test_second_order_convergence(self):
-        model = atom.AtomParameters(b=1.0, d=1.0, g=0.0)
-        grids = [oracle.RadialGrid(1e-6, 10.0, n) for n in (500, 999, 1997)]
-        energies = [
-            oracle.radial_eigensolve(model, 0, grid, n_states=2, richardson=False)[0].eigenvalue
-            for grid in grids
-        ]
-        d1 = energies[0] - energies[1]
-        d2 = energies[1] - energies[2]
-        assert 3.0 < d1 / d2 < 5.0  # halving h shrinks the error ~4x
+    def test_exact_coupling_stable_across_basis_sizes(self):
+        # a class-N state is a degree-N polynomial in r^2 times the
+        # oscillator Gaussian, so it is exact from n_basis = N + 1 on
+        for g in atom.solve_g(12, 2, d=0.3):
+            sol = atom.radial_solution(12, 2, g, d=0.3)
+            small, large = (
+                oracle.radial_eigensolve(sol.atom, 2, n_states=sol.n_r + 1, n_basis=k)[sol.n_r]
+                for k in (13, 57)
+            )
+            assert abs(small.eigenvalue - large.eigenvalue) <= 1e-12 * sol.energy_r
+            assert small.basis_change <= 1e-12
 
-    def test_richardson_stability(self):
-        model = atom.AtomParameters(b=1.0, d=1.0, g=26.0)
-        coarse = oracle.radial_eigensolve(
-            model, 0, oracle.RadialGrid(1e-6, 10.0, 2000), n_states=2
-        )
-        fine = oracle.radial_eigensolve(
-            model, 0, oracle.RadialGrid(1e-6, 10.0, 3999), n_states=2
-        )
-        for a, b in zip(coarse, fine):
-            assert abs(a.eigenvalue - b.eigenvalue) / abs(b.eigenvalue) < 1e-5
+    def test_basis_change_flags_an_inexact_coupling(self):
+        # d/b = 0.05 puts the poles of 1/(r^2 + d^2) close to the real axis,
+        # so a coupling that is not exact converges slowly in the basis size
+        model = atom.AtomParameters(b=1.0, d=0.05, g=26.0)
+        changes = [oracle.radial_eigensolve(model, 0, n_states=1, n_basis=k)[0].basis_change
+                   for k in (6, 12, 24)]
+        assert changes[0] > changes[1] > changes[2] > 1e-10
+
+    def test_weights_integrate_the_span_exactly(self):
+        # u = r^(l+1) e^(-r^2/2b^2) is the lowest oscillator state:
+        # int u^2 dr = b^(2l+3) Gamma(l + 3/2) / 2
+        for l_r in range(5):
+            pair = oracle.radial_eigensolve(atom.AtomParameters(b=1.3, d=1.0), l_r, n_basis=9)[0]
+            u = pair.radii ** (l_r + 1) * np.exp(-pair.radii**2 / (2.0 * 1.3**2))
+            exact = 1.3 ** (2 * l_r + 3) * math.gamma(l_r + 1.5) / 2.0
+            assert np.sum(pair.weights * u**2) == pytest.approx(exact, rel=1e-13)
+
+    def test_node_count_ignores_the_tail_ripple(self):
+        # at d/b = 0.05 the truncated neighbours of the exact states keep a
+        # ripple of ~1e-9 of their peak in the forbidden tail; counting it
+        # (as a 1e-8-of-peak threshold does at n_basis = 44) gives a second
+        # state with n_r nodes
+        for g in atom.solve_g(12, 0, d=0.05):
+            sol = atom.radial_solution(12, 0, g, d=0.05)
+            pairs = oracle.radial_eigensolve(sol.atom, 0, n_states=sol.n_r + 2, n_basis=44)
+            assert [p.node_count for p in pairs] == list(range(sol.n_r + 2))
 
     def test_orthogonality(self):
         model = atom.AtomParameters(b=1.0, d=1.0, g=26.0)
-        pairs = oracle.radial_eigensolve(model, 0, n_states=4, richardson=False)
-        r = pairs[0].grid.points()
+        pairs = oracle.radial_eigensolve(model, 0, n_states=4)
         for i in range(4):
-            for j in range(i + 1, 4):
-                overlap = np.trapezoid(pairs[i].u_values * pairs[j].u_values, r)
-                assert abs(overlap) < 1e-8
+            for j in range(i, 4):
+                overlap = np.sum(pairs[0].weights * pairs[i].u_values * pairs[j].u_values)
+                assert abs(overlap - (i == j)) < 1e-13
 
     def test_node_theorem(self):
         model = atom.AtomParameters(b=1.0, d=1.0, g=26.0)
-        pairs = oracle.radial_eigensolve(model, 0, n_states=4, richardson=False)
+        pairs = oracle.radial_eigensolve(model, 0, n_states=4)
         assert [p.node_count for p in pairs] == [0, 1, 2, 3]
-
-    def test_coarse_grid_warning_flag(self):
-        model = atom.AtomParameters(b=1.0, d=1.0, g=26.0)
-        pairs = oracle.radial_eigensolve(model, 0, n_states=1, coarse_tol=1e-14)
-        assert pairs[0].grid_warning
 
     def test_triplet_class_roots(self):
         # l_r = 1 exercises the centrifugal term; both quadratic roots host
@@ -98,25 +103,45 @@ class TestRadialEigensolve:
             sol = atom.radial_solution(1, 1, g)
             pairs = oracle.radial_eigensolve(sol.atom, 1, n_states=sol.n_r + 2)
             match = next(p for p in pairs if p.node_count == sol.n_r)
-            assert abs(match.eigenvalue - 6.5) / 6.5 < 1e-4
+            assert abs(match.eigenvalue - 6.5) / 6.5 < 1e-13
 
     def test_eigenfunction_error_shrinks_under_refinement(self):
-        sol = atom.normalize_radial(atom.radial_solution(1, 0, 26.0))
+        # a class-4 state needs 5 oscillator functions; below that the basis
+        # misses part of it, from there on the Gauss sum sees no error
+        sol = atom.normalize_radial(atom.radial_solution(4, 0, atom.solve_g(4, 0)[2]))
 
-        def l2_error(n_points):
-            grid = oracle.RadialGrid(1e-6, 10.0, n_points)
-            pair = oracle.radial_eigensolve(sol.atom, 0, grid, n_states=1, richardson=False)[0]
-            r = grid.points()
-            u_exact = r * sol.radial(r)
-            u_exact /= math.sqrt(np.trapezoid(u_exact**2, r))
-            u_num = pair.u_values
-            if u_num[np.argmax(np.abs(u_num))] * u_exact[np.argmax(np.abs(u_num))] < 0:
-                u_num = -u_num
-            return math.sqrt(np.trapezoid((u_num - u_exact) ** 2, r))
+        def l2_error(n_basis):
+            pair = oracle.radial_eigensolve(sol.atom, 0, n_states=sol.n_r + 1,
+                                            n_basis=n_basis)[sol.n_r]
+            u_exact = pair.radii * sol.radial(pair.radii)
+            u_exact /= math.sqrt(np.sum(pair.weights * u_exact**2))
+            sign = np.sign(np.sum(pair.weights * pair.u_values * u_exact))
+            return math.sqrt(np.sum(pair.weights * (sign * pair.u_values - u_exact) ** 2))
 
-        errors = [l2_error(n) for n in (500, 1000, 2000)]
-        assert errors[0] > errors[1] > errors[2]
-        assert errors[2] < 1e-3
+        errors = [l2_error(n) for n in (3, 4, 5, 6)]
+        assert errors[0] > errors[1] > 1e-3
+        assert max(errors[2:]) < 1e-12
+
+
+class TestLargeClassSweep:
+    def test_every_root_found_once_with_its_nodes(self):
+        # seeded classes over N <= 60, l_r <= 4, d/b in [0.05, 20]
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(12):
+            n_class = int(rng.integers(1, 61))
+            l_r = int(rng.integers(0, 5))
+            d = float(np.exp(rng.uniform(math.log(0.05), math.log(20.0))))
+            energy = atom.quantized_energy(n_class, l_r)
+            for g in atom.solve_g(n_class, l_r, d=d):
+                n_r = atom.radial_solution(n_class, l_r, g, d=d).n_r
+                pairs = oracle.radial_eigensolve(
+                    atom.AtomParameters(b=1.0, d=d, g=float(g)), l_r,
+                    n_states=n_r + 2, n_basis=n_class + 12)
+                matches = [p for p in pairs if p.node_count == n_r]
+                assert len(matches) == 1, (n_class, l_r, d, g)
+                worst = max(worst, abs(matches[0].eigenvalue - energy) / energy)
+        assert worst <= 1e-10
 
 
 class TestIntegrateHeunOde:
