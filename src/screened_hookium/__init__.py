@@ -36,7 +36,6 @@ from .errors import (
 from .groundstate import (
     DensityProfile,
     GroundState,
-    cusp_derivative,
     density_closed_form,
     density_numeric,
     density_profile,
@@ -45,10 +44,9 @@ from .groundstate import (
     normalization_constant,
     wavefunction,
 )
-from .heun import HeunParameters, SeriesCoefficients
+from .heun import HeunParameters
 from .limits import (
     LimitSpectrumEntry,
-    Regime,
     large_d_degenerate,
     large_d_energy,
     small_d_degeneracy_g,

@@ -300,23 +300,23 @@ class PolynomialSolution:
 
         R(r) = C (r/d)^{l_r} (1 + z) P(z) exp(-r^2 / 2 b^2),   z = (r/d)^2,
 
-    where P(z) = sum_n v_n (-z)^n truncates at degree N and C is the stored
-    `normalization` (1.0 until `normalize_radial` fixes it).
+    where P(z) = sum_n v_n (-z)^n truncates at degree N, `coefficients` holds
+    v_0 ... v_N, and C is the stored `normalization` (1.0 until
+    `normalize_radial` fixes it).
     """
 
     N: int
     l_r: int
     energy_r: float
     g_root: float
-    coefficients: heun.SeriesCoefficients
+    coefficients: tuple[float, ...]
     n_r: int
     normalization: float
     atom: AtomParameters
 
     def polynomial_coefficients(self) -> np.ndarray:
         """Coefficients of P in z, ascending: (-1)^n v_n."""
-        vs = self.coefficients.values[: self.N + 1]
-        return np.array([(-1.0) ** n * v for n, v in enumerate(vs)])
+        return np.array([(-1.0) ** n * v for n, v in enumerate(self.coefficients)])
 
     def radial(self, r):
         """Radial wavefunction at r (scalar or array)."""
@@ -366,9 +366,7 @@ def radial_solution(N: int, l_r: int, g_root: float, b: float = 1.0, d: float = 
         l_r=l_r,
         energy_r=energy_r,
         g_root=float(g_root),
-        coefficients=heun.SeriesCoefficients(
-            tuple(values.tolist()), heun_parameters(model, l_r, energy_r)
-        ),
+        coefficients=tuple(values.tolist()),
         n_r=N - i,
         normalization=1.0,
         atom=model,

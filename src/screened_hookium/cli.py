@@ -63,8 +63,8 @@ def _json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, float):
-        if math.isinf(obj):
-            return json.dumps("inf" if obj > 0 else "-inf")
+        if not math.isfinite(obj):
+            return json.dumps(str(obj))
         return format(obj, ".17g")
     if obj is None:
         return "null"
@@ -136,7 +136,7 @@ def cmd_solve(n_class, l_r, d_over_b, b_len, m_nuc, fmt, out_path) -> None:
         sol = radial_solution(n_class, l_r, g, b=b_len, d=d_len)
         total = assemble_total_energy((0.0, 0.0, 0.0), mass, b_len, 0, 0, sol.energy_r)
         row = {"g": float(g), "E_r": sol.energy_r, "E_total": total, "n_r": sol.n_r}
-        for i, v in enumerate(sol.coefficients.values[1:], start=1):
+        for i, v in enumerate(sol.coefficients[1:], start=1):
             row[f"v_{i}"] = v
         row["symmetry"] = sol.symmetry.value
         rows.append(row)
@@ -156,6 +156,8 @@ def cmd_solve(n_class, l_r, d_over_b, b_len, m_nuc, fmt, out_path) -> None:
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_verify(n_class, l_r, d_over_b, b_len, tol, fmt, out_path) -> None:
     """Check every root of a class against the independent eigensolver."""
+    if not tol >= 0:
+        raise DomainError(f"--tol must be >= 0, got {tol}")
     d_len = d_over_b * b_len
     # The DVR is exact for class N from N + 1 functions on; the margin
     # converges the neighbouring states that the node match tells apart.
@@ -232,6 +234,8 @@ def cmd_figure(which, b_len, r_max, grid_points, out_path) -> None:
     """CSV plot data: fig2 = the two N=1 radial functions, fig3 = the density."""
     if grid_points < 2:
         raise DomainError(f"--grid-points must be >= 2, got {grid_points}")
+    if r_max is not None and not (0 < r_max < math.inf):
+        raise DomainError(f"--rmax must be positive and finite, got {r_max}")
     top = r_max if r_max is not None else 6.0 * b_len
     radii = np.linspace(0.0, top, grid_points)
     if which == "fig2":
@@ -272,9 +276,12 @@ def cmd_limits(regime, g_coupling, b_len, d_over_b, levels, pairs, fmt, out_path
         if len(parts) != 4:
             raise click.UsageError(f'--pair expects "n,l,n2,l2", got {text!r}')
         try:
-            parsed_pairs.append(tuple(int(p) for p in parts))
+            pair = tuple(int(p) for p in parts)
         except ValueError as exc:
             raise click.UsageError(f"--pair entries must be integers, got {text!r}") from exc
+        if min(pair) < 0:
+            raise click.UsageError(f"--pair entries must be nonnegative, got {text!r}")
+        parsed_pairs.append(pair)
 
     params = {"regime": regime, "g": g_coupling, "b": b_len, "levels": levels}
     if regime == "small-d":

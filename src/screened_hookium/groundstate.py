@@ -39,9 +39,6 @@ __all__ = [
     "density_profile",
     "density_profile_numeric",
     "normalization_constant",
-    "cusp_derivative",
-    "pair_separation_function",
-    "separation_derivative",
 ]
 
 
@@ -74,7 +71,7 @@ def ground_state(b: float = 1.0, d: float = 1.0) -> GroundState:
     """
     g = solve_g(1, 0, b=b, d=d)[-1]
     sol = radial_solution(1, 0, g, b=b, d=d)
-    v1 = sol.coefficients.values[1]
+    v1 = sol.coefficients[1]
     norm = normalization_constant(sol.atom, v1)
     total = assemble_total_energy(
         (0.0, 0.0, 0.0), math.inf, b, 0, 0, quantized_energy(1, 0, b)
@@ -224,38 +221,3 @@ def density_profile_numeric(
         normalization=sol.normalization * sol.atom.d**1.5,
         kind="numeric",
     )
-
-
-def pair_separation_function(gs: GroundState, center=(0.0, 0.0, 0.0), direction=(0.0, 0.0, 1.0)):
-    """Reduce the pair wavefunction to a function of the signed separation u.
-
-    The electrons sit at center +/- (u/2) direction, so the center of mass
-    stays fixed while r12 = |u| varies.
-    """
-    n_hat = np.asarray(direction, dtype=float)
-    n_hat = n_hat / np.linalg.norm(n_hat)
-    c = np.asarray(center, dtype=float)
-
-    def psi_of_u(u: float) -> float:
-        return wavefunction(gs, c + 0.5 * u * n_hat, c - 0.5 * u * n_hat)
-
-    return psi_of_u
-
-
-def separation_derivative(f, step: float) -> float:
-    """Central difference df/du at u = 0 for a function of the signed separation."""
-    if not step > 0:
-        raise DomainError(f"step must be positive, got {step}")
-    return (f(step) - f(-step)) / (2.0 * step)
-
-
-def cusp_derivative(gs: GroundState, step: float | None = None) -> float:
-    """Derivative of Psi with respect to the separation at coalescence.
-
-    The pair factors contain only even powers of r12, so the analytic value is
-    identically zero (no coalescence cusp).  Passing a finite-difference
-    `step` evaluates the numerical cross-check instead.
-    """
-    if step is None:
-        return 0.0
-    return separation_derivative(pair_separation_function(gs), step)

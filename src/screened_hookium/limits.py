@@ -8,7 +8,6 @@ strength.  Both limits admit simple degeneracy conditions.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,6 @@ from .atom import AtomParameters
 from .errors import DomainError
 
 __all__ = [
-    "Regime",
     "LimitSpectrumEntry",
     "small_d_energy",
     "small_d_degeneracy_g",
@@ -28,11 +26,6 @@ __all__ = [
 ]
 
 
-class Regime(enum.Enum):
-    SMALL_D = "small-d"
-    LARGE_D = "large-d"
-
-
 @dataclass(frozen=True)
 class LimitSpectrumEntry:
     """One relative-motion level in a limiting regime."""
@@ -40,8 +33,6 @@ class LimitSpectrumEntry:
     n_r: int
     l_r: int
     energy: float
-    regime: Regime
-    gamma_renorm: float | None = None
 
 
 def small_d_energy(n_r: int, l_r: int, g: float, b: float = 1.0) -> float:
@@ -102,19 +93,12 @@ def large_d_degenerate(n_r: int, l_r: int, n_rp: int, l_rp: int) -> bool:
     return 2 * (n_r - n_rp) + (l_r - l_rp) == 0
 
 
-def _enumerate(levels: int, energy_of, regime: Regime, gam: float | None):
-    candidates = []
-    for n_r in range(levels + 2):
-        for l_r in range(2 * levels + 10):
-            candidates.append(
-                LimitSpectrumEntry(
-                    n_r=n_r,
-                    l_r=l_r,
-                    energy=energy_of(n_r, l_r),
-                    regime=regime,
-                    gamma_renorm=gam,
-                )
-            )
+def _enumerate(levels: int, energy_of):
+    candidates = [
+        LimitSpectrumEntry(n_r=n_r, l_r=l_r, energy=energy_of(n_r, l_r))
+        for n_r in range(levels + 2)
+        for l_r in range(2 * levels + 10)
+    ]
     candidates.sort(key=lambda e: (e.energy, e.l_r, e.n_r))
     return candidates[:levels]
 
@@ -123,14 +107,11 @@ def small_d_spectrum(g: float, b: float = 1.0, levels: int = 8) -> list[LimitSpe
     """Lowest small-d levels, ascending (ties broken by l_r then n_r)."""
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
-    return _enumerate(levels, lambda n, l: small_d_energy(n, l, g, b), Regime.SMALL_D, None)
+    return _enumerate(levels, lambda n, l: small_d_energy(n, l, g, b))
 
 
 def large_d_spectrum(atom: AtomParameters, levels: int = 8) -> list[LimitSpectrumEntry]:
     """Lowest large-d levels, ascending (ties broken by l_r then n_r)."""
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
-    gam = gamma_renorm(atom)
-    if gam <= 0.0:
-        raise DomainError(f"unbound regime: 1 - g b^4/d^4 = {gam} <= 0")
-    return _enumerate(levels, lambda n, l: large_d_energy(n, l, atom), Regime.LARGE_D, gam)
+    return _enumerate(levels, lambda n, l: large_d_energy(n, l, atom))

@@ -288,8 +288,8 @@ class TestRadialSolution:
         d = math.sqrt(4.5)
         g = atom.solve_g(2, 0, 1.0, d)[1]
         sol = atom.radial_solution(2, 0, g, 1.0, d)
-        assert abs(sol.coefficients.values[1]) < 1e-12
-        assert sol.coefficients.values[2] == pytest.approx(-1.8, rel=1e-12)
+        assert abs(sol.coefficients[1]) < 1e-12
+        assert sol.coefficients[2] == pytest.approx(-1.8, rel=1e-12)
         assert np.abs(atom.radial_ode_residual(sol, np.geomspace(1e-3, 6.0, 50))).max() < 1e-9
 
 
@@ -435,7 +435,7 @@ def test_exact_oracle_rejects_wrong_answers():
     assert relative_newton_steps(determinant_polynomial(24, 0, alpha), [mu]) > [1e-9]
     sol = atom.radial_solution(2, 1, atom.solve_g(2, 1)[0])
     alpha, mu = exact_alpha_mu(2, 1, sol.g_root, 1.0, 1.0)
-    perturbed = np.array(sol.coefficients.values) * [1.0, 1.0 + 1e-8, 1.0]
+    perturbed = np.array(sol.coefficients) * [1.0, 1.0 + 1e-8, 1.0]
     assert row_residual(2, 1, alpha, mu, perturbed) > 1e-9
     assert positive_zero_count([2.0, -3.0, 1.0]) == (2, 2)  # (1 - z)(2 - z)
     assert positive_zero_count([1.0, 0.0, 1.0]) == (0, 0)  # 1 + z^2
@@ -462,7 +462,7 @@ def test_truncation_sweep(n_class, l_r, d_over_b):
     assert max(relative_newton_steps(poly, mus)) <= 1e-9
     for g, mu in zip(roots, mus):
         sol = atom.radial_solution(n_class, l_r, g, 1.0, d_over_b)
-        assert row_residual(n_class, l_r, alpha, mu, sol.coefficients.values) <= 1e-10
+        assert row_residual(n_class, l_r, alpha, mu, sol.coefficients) <= 1e-10
         lower, upper = positive_zero_count(sol.polynomial_coefficients())
         assert upper == sol.n_r
         if n_class <= 24:

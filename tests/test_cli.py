@@ -96,6 +96,11 @@ class TestVerify:
         assert "FAIL" in {r["status"] for r in rows}
         assert "verification failure" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_negative_or_nan_tolerance_is_domain_error(self, capsys, tol):
+        code, out, err = run(capsys, ["verify", "--N", "1", "--lr", "0", "--tol", tol])
+        assert code == 2 and out == "" and "domain error" in err
+
     def test_basis_disagreement_gets_failing_check(self, capsys, monkeypatch):
         solve = oracle.radial_eigensolve
 
@@ -131,6 +136,11 @@ class TestVerify:
             "# node_match[g=26]: FAIL (observed [5, 6], tol 0)",
         ]
         assert "2 of 2 root(s) failed" in err
+        code, out, _ = run(capsys, ["verify", "--N", "1", "--lr", "0", "--format", "json"])
+        assert code == 3
+        results = json.loads(out)["results"]
+        assert [r["E_oracle"] for r in results] == ["nan", "nan"]
+        assert [r["eig_rel_err"] for r in results] == ["inf", "inf"]
 
     def test_class_two_all_roots_pass(self, capsys):
         code, out, _ = run(capsys, ["verify", "--N", "2", "--lr", "0"])
@@ -176,6 +186,11 @@ class TestFigure:
         header, rows = parse_csv(target.read_text())
         assert header == ["r1", "rho"] and len(rows) == 400
 
+    @pytest.mark.parametrize("rmax", ["-2", "0", "inf", "nan"])
+    def test_nonpositive_or_nonfinite_rmax_is_domain_error(self, capsys, rmax):
+        code, out, err = run(capsys, ["figure", "fig3", "--rmax", rmax])
+        assert code == 2 and out == "" and "domain error" in err
+
 
 class TestLimits:
     def test_small_d_degenerate_pair_flagged(self, capsys):
@@ -213,8 +228,10 @@ class TestLimits:
         assert doc["results"]["pairs"][0]["g"] == pytest.approx(3.75)
 
     def test_bad_pair_syntax_is_usage_error(self, capsys):
-        code, _, err = run(capsys, ["limits", "small-d", "--pair", "1,0,0"])
-        assert code == 1 and "error" in err
+        for regime, pair in (("small-d", "1,0,0"), ("small-d", "-1,0,0,3"),
+                             ("large-d", "-1,0,0,-2")):
+            code, _, err = run(capsys, ["limits", regime, "--pair", pair])
+            assert code == 1 and "error" in err
 
 
 class TestExitCodes:
