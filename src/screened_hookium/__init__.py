@@ -18,11 +18,13 @@ from .atom import (
     classify_symmetry,
     heun_parameters,
     jacobi_transform,
+    normalize_class,
     normalize_radial,
     quantized_energy,
     radial_ode_residual,
     radial_solution,
     relative_potential,
+    solve_class,
     solve_g,
     termination_matrix,
 )
@@ -52,6 +54,12 @@ from .limits import (
     small_d_degeneracy_g,
     small_d_energy,
 )
-from .oracle import OracleEigenpair, integrate_heun_ode, quadrature, radial_eigensolve
+from .oracle import (
+    OracleEigenpair,
+    integrate_heun_ode,
+    quadrature,
+    radial_eigensolve,
+    radial_eigensolve_class,
+)
 
 __version__ = "0.1.0"

@@ -34,7 +34,9 @@ __all__ = [
     "heun_parameters",
     "termination_matrix",
     "solve_g",
+    "solve_class",
     "radial_solution",
+    "normalize_class",
     "normalize_radial",
     "radial_ode_residual",
     "classify_symmetry",
@@ -338,8 +340,42 @@ class PolynomialSolution:
         return classify_symmetry(self.l_r)
 
 
+def _solution(N: int, l_r: int, energy_r: float, model: AtomParameters, mu: float,
+              n_r: int) -> PolynomialSolution:
+    """The unnormalized solution at a truncating mu; v_0 = 1, ..., v_N is its null vector."""
+    values = _null_vector(*_truncation_bands(N, l_r, model.d_over_b**2, mu))
+    return PolynomialSolution(
+        N=N,
+        l_r=l_r,
+        energy_r=energy_r,
+        g_root=model.g,
+        coefficients=tuple(values.tolist()),
+        n_r=n_r,
+        normalization=1.0,
+        atom=model,
+    )
+
+
+def solve_class(N: int, l_r: int, b: float = 1.0, d: float = 1.0) -> list[PolynomialSolution]:
+    """Every exact degree-N radial solution of class (N, l_r), couplings ascending.
+
+    One root solve (`solve_g`) serves the whole class: the i-th coupling has
+    n_r = N - i (see `radial_solution`), and each solution is built from its
+    own coupling exactly as `radial_solution` builds it.  The solutions carry
+    normalization 1; `normalize_class` makes them unit-norm.
+    """
+    roots = solve_g(N, l_r, b=b, d=d)
+    energy_r = quantized_energy(N, l_r, b)
+    shift = _mu_shift(N, l_r, (d / b) ** 2)
+    sols = []
+    for i, g in enumerate(roots):
+        model = AtomParameters(b=b, d=d, g=float(g), M=math.inf)
+        sols.append(_solution(N, l_r, energy_r, model, 0.25 * model.g - shift, N - i))
+    return sols
+
+
 def radial_solution(N: int, l_r: int, g_root: float, b: float = 1.0, d: float = 1.0) -> PolynomialSolution:
-    """Construct the exact degree-N radial solution at a coupling root.
+    """Construct the exact degree-N radial solution at one coupling root.
 
     Fails with TerminationError unless mu(g) is one of the N+1 truncation
     roots.  The coefficients v_0 = 1, v_1 ... v_N are the null vector of the
@@ -347,7 +383,7 @@ def radial_solution(N: int, l_r: int, g_root: float, b: float = 1.0, d: float = 
     decreases as g grows (Sturm comparison), and P has at most N positive
     zeros, so the i-th root in ascending order has n_r = N - i.  The
     returned solution carries normalization 1; `normalize_radial` makes it
-    unit-norm.
+    unit-norm.  `solve_class` builds all roots of a class at once.
     """
     energy_r = quantized_energy(N, l_r, b)
     model = AtomParameters(b=b, d=d, g=float(g_root), M=math.inf)
@@ -360,17 +396,7 @@ def radial_solution(N: int, l_r: int, g_root: float, b: float = 1.0, d: float = 
             f"series does not truncate at degree {N} for g = {g_root} "
             f"(nearest root g = {4.0 * (roots[i] + _mu_shift(N, l_r, alpha))})"
         )
-    values = _null_vector(*_truncation_bands(N, l_r, alpha, mu))
-    return PolynomialSolution(
-        N=N,
-        l_r=l_r,
-        energy_r=energy_r,
-        g_root=float(g_root),
-        coefficients=tuple(values.tolist()),
-        n_r=N - i,
-        normalization=1.0,
-        atom=model,
-    )
+    return _solution(N, l_r, energy_r, model, mu, N - i)
 
 
 def _half_line_gauss(n: int, b: float):
@@ -385,32 +411,51 @@ def _half_line_gauss(n: int, b: float):
     return b * x[keep], b * np.where(x[keep] == 0.0, 0.5, 1.0) * w[keep]
 
 
-def _radial_norm2(pz: np.ndarray, l_r: int, b: float, d: float) -> float:
+def _radial_norm2(pz: np.ndarray, l_r: int, d: float, rule) -> float:
     """int_0^oo [(r/d)^l_r (1 + z) P(z)]^2 exp(-r^2/b^2) r^2 dr with z = (r/d)^2.
 
     P has ascending coefficients pz in z; the integrand is an even polynomial
-    of degree 4 deg(P) + 2 l_r + 6 times the Gaussian, so the Gauss rule with
-    2 deg(P) + l_r + 4 nodes is exact.
+    of degree 4 deg(P) + 2 l_r + 6 times the Gaussian, so `rule`, the
+    half-line Gauss rule with 2 deg(P) + l_r + 4 nodes, is exact.
     """
-    r, w = _half_line_gauss(2 * pz.size + l_r + 2, b)
+    r, w = rule
     z = (r / d) ** 2
     return float(w @ ((r / d) ** l_r * (1.0 + z) * npoly.polyval(z, pz) * r) ** 2)
 
 
-def normalize_radial(sol: PolynomialSolution) -> PolynomialSolution:
-    """Rescale so that the radial norm integral of R^2 r^2 equals 1 (idempotent).
+def normalize_class(sols: list[PolynomialSolution]) -> list[PolynomialSolution]:
+    """Rescale solutions of one class so that each radial norm integral of R^2 r^2 is 1.
 
     The norm integral is a polynomial times a Gaussian, which the half-line
-    Gauss-Hermite rule integrates exactly.  Raises DomainError when it is not
-    finite and positive in floating point (it overflows for large classes).
+    Gauss-Hermite rule integrates exactly; the solutions share N, l_r and b,
+    so one rule serves them all.  Raises DomainError, at the first solution
+    in order, when the integral is not finite and positive in floating point
+    (it overflows for large classes).  Idempotent.
     """
-    norm2 = _radial_norm2(sol.polynomial_coefficients(), sol.l_r, sol.atom.b, sol.atom.d)
-    if not (math.isfinite(norm2) and norm2 > 0.0):
-        raise DomainError(
-            f"radial norm integral is {norm2!r} for N = {sol.N}, l_r = {sol.l_r}, "
-            f"d/b = {sol.atom.d_over_b!r} (g = {sol.g_root!r}): cannot normalize"
-        )
-    return replace(sol, normalization=1.0 / math.sqrt(norm2))
+    if not sols:
+        return []
+    first = sols[0]
+    N, l_r, b = first.N, first.l_r, first.atom.b
+    if any((s.N, s.l_r, s.atom.b) != (N, l_r, b) for s in sols):
+        raise DomainError("normalize_class needs solutions of one class (same N, l_r and b)")
+    rule = _half_line_gauss(2 * N + l_r + 4, b)
+    out = []
+    # An overflowing integral is reported below, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sol in sols:
+            norm2 = _radial_norm2(sol.polynomial_coefficients(), l_r, sol.atom.d, rule)
+            if not (math.isfinite(norm2) and norm2 > 0.0):
+                raise DomainError(
+                    f"radial norm integral is {norm2!r} for N = {sol.N}, l_r = {sol.l_r}, "
+                    f"d/b = {sol.atom.d_over_b!r} (g = {sol.g_root!r}): cannot normalize"
+                )
+            out.append(replace(sol, normalization=1.0 / math.sqrt(norm2)))
+    return out
+
+
+def normalize_radial(sol: PolynomialSolution) -> PolynomialSolution:
+    """`normalize_class` of one solution: unit radial norm, or DomainError on overflow."""
+    return normalize_class([sol])[0]
 
 
 def radial_ode_residual(sol: PolynomialSolution, radii) -> np.ndarray:

@@ -20,10 +20,9 @@ from . import oracle
 from .atom import (
     AtomParameters,
     assemble_total_energy,
-    normalize_radial,
+    normalize_class,
     radial_ode_residual,
-    radial_solution,
-    solve_g,
+    solve_class,
 )
 from .errors import DomainError, ScreenedHookiumError
 from .groundstate import density_closed_form, ground_state
@@ -130,12 +129,10 @@ def cmd_solve(n_class, l_r, d_over_b, b_len, m_nuc, fmt, out_path) -> None:
     """All exact couplings g of class (N, l_r) with their solutions."""
     mass = _parse_mass(m_nuc)
     d_len = d_over_b * b_len
-    roots = solve_g(n_class, l_r, b=b_len, d=d_len)
     rows = []
-    for g in roots:
-        sol = radial_solution(n_class, l_r, g, b=b_len, d=d_len)
+    for sol in solve_class(n_class, l_r, b=b_len, d=d_len):
         total = assemble_total_energy((0.0, 0.0, 0.0), mass, b_len, 0, 0, sol.energy_r)
-        row = {"g": float(g), "E_r": sol.energy_r, "E_total": total, "n_r": sol.n_r}
+        row = {"g": sol.g_root, "E_r": sol.energy_r, "E_total": total, "n_r": sol.n_r}
         for i, v in enumerate(sol.coefficients[1:], start=1):
             row[f"v_{i}"] = v
         row["symmetry"] = sol.symmetry.value
@@ -166,18 +163,20 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, tol, fmt, out_path) -> None:
     resid_tol = 1e-9
     sample_radii = np.geomspace(1e-3 * b_len, 6.0 * b_len, 50)
 
-    roots = solve_g(n_class, l_r, b=b_len, d=d_len)
+    # The roots of a class share one Gauss rule and one stacked DVR solve.
+    sols = normalize_class(solve_class(n_class, l_r, b=b_len, d=d_len))
+    oracle_pairs = oracle.radial_eigensolve_class(
+        b_len, d_len, l_r, [sol.g_root for sol in sols], [sol.n_r + 2 for sol in sols], n_basis)
     rows = []
     checks = []
     failures = 0
-    for g in roots:
-        sol = normalize_radial(radial_solution(n_class, l_r, g, b=b_len, d=d_len))
-        pairs = oracle.radial_eigensolve(sol.atom, l_r, n_states=sol.n_r + 2, n_basis=n_basis)
+    for sol, pairs in zip(sols, oracle_pairs):
+        g = sol.g_root
         match = next((p for p in pairs if p.node_count == sol.n_r), None)
         resid = float(np.abs(radial_ode_residual(sol, sample_radii)).max())
-        tag = f"g={_fmt_csv(float(g))}"
+        tag = f"g={_fmt_csv(g)}"
         if match is None:
-            rows.append({"g": float(g), "n_r": sol.n_r, "E_exact": sol.energy_r,
+            rows.append({"g": g, "n_r": sol.n_r, "E_exact": sol.energy_r,
                          "E_oracle": math.nan, "eig_rel_err": math.inf,
                          "l2_error": math.inf, "max_ode_residual": resid,
                          "node_oracle": -1, "status": "FAIL"})
@@ -197,7 +196,7 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, tol, fmt, out_path) -> None:
         basis_ok = match.basis_change <= tol
         ok = rel <= tol and l2 <= l2_tol and resid <= resid_tol and basis_ok
         failures += 0 if ok else 1
-        rows.append({"g": float(g), "n_r": sol.n_r, "E_exact": sol.energy_r,
+        rows.append({"g": g, "n_r": sol.n_r, "E_exact": sol.energy_r,
                      "E_oracle": match.eigenvalue, "eig_rel_err": rel,
                      "l2_error": l2, "max_ode_residual": resid,
                      "node_oracle": match.node_count, "status": "PASS" if ok else "FAIL"})
@@ -221,7 +220,7 @@ def cmd_verify(n_class, l_r, d_over_b, b_len, tol, fmt, out_path) -> None:
     _emit("verify", fmt, out_path, params, rows, checks if fmt == "json" else comment_checks,
           columns, rows)
     if failures:
-        raise VerificationFailure(f"{failures} of {len(roots)} root(s) failed verification")
+        raise VerificationFailure(f"{failures} of {len(sols)} root(s) failed verification")
 
 
 @cli.command("figure")
@@ -239,13 +238,11 @@ def cmd_figure(which, b_len, r_max, grid_points, out_path) -> None:
     top = r_max if r_max is not None else 6.0 * b_len
     radii = np.linspace(0.0, top, grid_points)
     if which == "fig2":
-        g_lo, g_hi = solve_g(1, 0, b=b_len, d=b_len)
-        sol_hi = normalize_radial(radial_solution(1, 0, g_hi, b=b_len, d=b_len))
-        sol_lo = normalize_radial(radial_solution(1, 0, g_lo, b=b_len, d=b_len))
+        sol_lo, sol_hi = normalize_class(solve_class(1, 0, b=b_len, d=b_len))
         rows = [{"r": r, "R_g26": hi, "R_g12": lo}
                 for r, hi, lo in zip(radii, sol_hi.radial(radii), sol_lo.radial(radii))]
         params = {"b": b_len, "d_over_b": 1.0, "N": 1, "lr": 0,
-                  "g_hi": float(g_hi), "g_lo": float(g_lo), "rmax": top,
+                  "g_hi": sol_hi.g_root, "g_lo": sol_lo.g_root, "rmax": top,
                   "grid_points": grid_points}
         columns = ["r", "R_g26", "R_g12"]
     else:

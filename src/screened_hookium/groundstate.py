@@ -24,8 +24,7 @@ from .atom import (
     assemble_total_energy,
     normalize_radial,
     quantized_energy,
-    radial_solution,
-    solve_g,
+    solve_class,
 )
 from .errors import ConsistencyError, DomainError
 
@@ -69,14 +68,13 @@ def ground_state(b: float = 1.0, d: float = 1.0) -> GroundState:
     The i-th coupling in ascending order has n_r = N - i nodes, so the
     node-less member is the largest coupling of the class.
     """
-    g = solve_g(1, 0, b=b, d=d)[-1]
-    sol = radial_solution(1, 0, g, b=b, d=d)
+    sol = solve_class(1, 0, b=b, d=d)[-1]
     v1 = sol.coefficients[1]
     norm = normalization_constant(sol.atom, v1)
     total = assemble_total_energy(
         (0.0, 0.0, 0.0), math.inf, b, 0, 0, quantized_energy(1, 0, b)
     )
-    return GroundState(atom=sol.atom, v1=v1, g_root=float(g), normalization=norm, energy_total=total)
+    return GroundState(atom=sol.atom, v1=v1, g_root=sol.g_root, normalization=norm, energy_total=total)
 
 
 def wavefunction(gs: GroundState, r1, r2) -> float:
@@ -149,8 +147,9 @@ def normalization_constant(atom: AtomParameters, v1: float) -> float:
     exp(-r^2/b^2), so the 6-node half-line Gauss-Hermite rule is exact.  A
     relative disagreement beyond 1e-10 raises.
     """
-    ncal = atom.d**1.5 / math.sqrt(_radial_norm2(np.array([1.0, -v1]), 0, atom.b, atom.d))
-    r, w = _half_line_gauss(6, atom.b)
+    rule = _half_line_gauss(6, atom.b)
+    ncal = atom.d**1.5 / math.sqrt(_radial_norm2(np.array([1.0, -v1]), 0, atom.d, rule))
+    r, w = rule
     # The rule's weight function is the Gaussian, so divide it out of rho.
     rho = _density_closed(atom, v1, ncal, r) * np.exp(r**2 / atom.b**2)
     check = float(w @ (4.0 * math.pi * r**2 * rho))

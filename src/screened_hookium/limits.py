@@ -39,8 +39,12 @@ def small_d_energy(n_r: int, l_r: int, g: float, b: float = 1.0) -> float:
     """Inverse-square-limit level (1 + 2 n_r + sqrt(g + (l_r + 1/2)^2)) / b^2."""
     if n_r < 0 or l_r < 0:
         raise DomainError("n_r and l_r must be nonnegative")
+    if not math.isfinite(g):
+        raise DomainError(f"coupling g must be finite, got {g}")
+    if not (b > 0 and math.isfinite(b)):
+        raise DomainError(f"confinement length b must be positive and finite, got {b}")
     arg = g + (l_r + 0.5) ** 2
-    if arg < 0.0:
+    if not arg >= 0.0:
         raise DomainError(
             f"g = {g} < -(l_r + 1/2)^2 lies in the fall-to-center regime"
         )
@@ -80,8 +84,10 @@ def large_d_energy(n_r: int, l_r: int, atom: AtomParameters) -> float:
     """Weak-screening-limit level g/(2 d^2) + sqrt(gamma) (3 + 4 n_r + 2 l_r)/(2 b^2)."""
     if n_r < 0 or l_r < 0:
         raise DomainError("n_r and l_r must be nonnegative")
+    if not math.isfinite(atom.g):
+        raise DomainError(f"coupling g must be finite, got {atom.g}")
     gam = gamma_renorm(atom)
-    if gam <= 0.0:
+    if not gam > 0.0:
         raise DomainError(f"unbound regime: 1 - g b^4/d^4 = {gam} <= 0")
     return atom.g / (2.0 * atom.d**2) + math.sqrt(gam) * (3.0 + 4.0 * n_r + 2.0 * l_r) / (
         2.0 * atom.b**2

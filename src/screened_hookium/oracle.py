@@ -22,6 +22,7 @@ from .heun import HeunParameters
 __all__ = [
     "OracleEigenpair",
     "radial_eigensolve",
+    "radial_eigensolve_class",
     "integrate_heun_ode",
     "quadrature",
 ]
@@ -66,22 +67,97 @@ def _oscillator_functions(l_r: int, b: float, r: np.ndarray, n_basis: int) -> np
     return chi
 
 
-def _dvr(atom: AtomParameters, l_r: int, n_basis: int):
-    """Eigenvalues, eigenvectors, Laguerre-node radii and basis map T of the DVR.
+def _dvr_geometry(l_r: int, b: float, n_basis: int):
+    """Laguerre-node radii r_k, basis map T and coupling-free Hamiltonian H0 of the DVR.
 
     The nodes x_k and the orthogonal T come from the Laguerre Jacobi matrix
-    (Golub-Welsch); H = T^T diag(eps_n) T + diag(V_int(r_k)) with the oscillator
-    energies eps_n = (2n + l_r + 3/2)/b^2, which already hold r^2/(2 b^4).
-    The signs of T's columns are arbitrary and cancel in c = T v.
+    (Golub-Welsch); H0 = T^T diag(eps_n) T, kinetic plus oscillator, with the
+    oscillator energies eps_n = (2n + l_r + 3/2)/b^2, which already hold
+    r^2/(2 b^4).  The signs of T's columns are arbitrary and cancel in c = T v.
     """
     alpha = l_r + 0.5
     n = np.arange(n_basis)
     off = -np.sqrt(n[1:] * (n[1:] + alpha))
     x, t = np.linalg.eigh(np.diag(2.0 * n + alpha + 1.0) + np.diag(off, 1) + np.diag(off, -1))
-    r = atom.b * np.sqrt(x)
-    eps = (2.0 * n + l_r + 1.5) / atom.b**2
-    energies, vecs = np.linalg.eigh((t.T * eps) @ t + np.diag(0.5 * atom.g / (r**2 + atom.d**2)))
-    return energies, vecs, r, t
+    r = b * np.sqrt(x)
+    eps = (2.0 * n + l_r + 1.5) / b**2
+    return r, t, (t.T * eps) @ t
+
+
+# A stacked eigensolve holds several arrays of couplings x n_basis^2 doubles;
+# the couplings of a large class are split so that each stays near 8 MB.
+_STACK_ENTRIES = 1 << 20
+
+
+def _dvr_eigh(h0: np.ndarray, r: np.ndarray, d: float, couplings: np.ndarray):
+    """Eigenvalues and eigenvectors of H = H0 + diag(V_int(r_k)), one stacked
+    `np.linalg.eigh` per chunk of couplings, yielded chunk by chunk."""
+    n = r.size
+    k = np.arange(n)
+    diagonal = 0.5 * couplings[:, None] / (r**2 + d**2)
+    step = max(1, _STACK_ENTRIES // n**2)
+    for start in range(0, couplings.size, step):
+        part = diagonal[start:start + step]
+        h = np.zeros((part.shape[0], n, n))
+        h[:, k, k] = part
+        h += h0  # the same sums, element for element, as H0 + diag(V_int)
+        yield np.linalg.eigh(h)
+
+
+def radial_eigensolve_class(
+    b: float, d: float, l_r: int, couplings, n_states, n_basis: int = 24
+) -> list[list[OracleEigenpair]]:
+    """`radial_eigensolve` for several couplings g of one (b, d, l_r), in one stacked solve.
+
+    n_states holds the number of states wanted for each coupling.  The node
+    geometry, H0 = T^T diag(eps) T and the oscillator tables depend on (b, l_r,
+    n_basis) only, so they are built once per basis size, and every
+    coupling's H is diagonalised in one stacked `np.linalg.eigh`, at n_basis
+    and again at 2 n_basis (in a few stacks for very large classes).
+    Returns one list of eigenpairs per coupling.
+    """
+    couplings = np.asarray(couplings, dtype=float).reshape(-1)
+    n_states = [int(m) for m in n_states]
+    if l_r < 0:
+        raise DomainError(f"l_r must be nonnegative, got {l_r}")
+    if len(n_states) != couplings.size:
+        raise DomainError(f"need one n_states per coupling, got {len(n_states)} for {couplings.size}")
+    for m in n_states:
+        if not 1 <= m <= n_basis <= 300:
+            raise DomainError(f"need 1 <= n_states <= n_basis <= 300, got {m} and {n_basis}")
+    atoms = [AtomParameters(b=b, d=d, g=float(g)) for g in couplings]
+    r, t, h0 = _dvr_geometry(l_r, b, n_basis)
+    solved = list(_dvr_eigh(h0, r, d, couplings))
+    energies = [e for chunk, _ in solved for e in chunk]
+    vecs = [v for _, chunk in solved for v in chunk]
+    r2, _, h0_2 = _dvr_geometry(l_r, b, 2 * n_basis)
+    larger = [e for chunk, _ in _dvr_eigh(h0_2, r2, d, couplings) for e in chunk]
+    at_nodes = _oscillator_functions(l_r, b, r, n_basis)
+    weights = 1.0 / np.sum(at_nodes**2, axis=0)  # Christoffel numbers in dr
+    # Count sign changes only where V < E.  Where V > E, u'' = 2(V - E)u
+    # bends u away from zero, so the forbidden tails hold no node (only the
+    # truncation ripple), and a barrier between two allowed stretches holds
+    # at most one, which the signs on either side still count.
+    fine = np.linspace(0.0, r[-1], 8 * n_basis + 1)[1:]
+    at_fine = _oscillator_functions(l_r, b, fine, n_basis)
+    centrifugal = l_r * (l_r + 1) / (2.0 * fine**2)
+    out = []
+    for atom, m, e, v, e2 in zip(atoms, n_states, energies, vecs, larger):
+        e, e2 = e[:m], e2[:m]
+        change = np.abs(e2 - e) / np.maximum(np.abs(e2), 1e-300)
+        coeffs = t @ v[:, :m]  # oscillator coefficients, free of T's column signs
+        u_nodes = coeffs.T @ at_nodes
+        u_fine = coeffs.T @ at_fine
+        well = relative_potential(fine, atom) + centrifugal
+        pairs = []
+        for j in range(m):
+            signs = np.sign(u_fine[j, well < e[j]])
+            pairs.append(OracleEigenpair(
+                eigenvalue=float(e[j]),
+                node_count=int(np.count_nonzero(signs[1:] != signs[:-1])),
+                radii=r, weights=weights, u_values=u_nodes[j], basis_change=float(change[j])))
+        out.append(pairs)
+    return out
 
 
 def radial_eigensolve(
@@ -93,34 +169,9 @@ def radial_eigensolve(
     state of class N lies in the span of the first N + 1 oscillator functions
     and so does V R = (E - H0) R, so E is an eigenvalue for every
     n_basis >= N + 1.  The solve is repeated at 2 n_basis for basis_change.
+    This is `radial_eigensolve_class` with the one coupling atom.g.
     """
-    if l_r < 0:
-        raise DomainError(f"l_r must be nonnegative, got {l_r}")
-    if not 1 <= n_states <= n_basis <= 300:
-        raise DomainError(f"need 1 <= n_states <= n_basis <= 300, got {n_states} and {n_basis}")
-    energies, vecs, r, t = _dvr(atom, l_r, n_basis)
-    energies = energies[:n_states]
-    larger = _dvr(atom, l_r, 2 * n_basis)[0][:n_states]
-    change = np.abs(larger - energies) / np.maximum(np.abs(larger), 1e-300)
-    coeffs = t @ vecs[:, :n_states]  # oscillator coefficients, free of T's column signs
-    at_nodes = _oscillator_functions(l_r, atom.b, r, n_basis)
-    weights = 1.0 / np.sum(at_nodes**2, axis=0)  # Christoffel numbers in dr
-    u_nodes = coeffs.T @ at_nodes
-    # Count sign changes only where V < E.  Where V > E, u'' = 2(V - E)u
-    # bends u away from zero, so the forbidden tails hold no node (only the
-    # truncation ripple), and a barrier between two allowed stretches holds
-    # at most one, which the signs on either side still count.
-    fine = np.linspace(0.0, r[-1], 8 * n_basis + 1)[1:]
-    u_fine = coeffs.T @ _oscillator_functions(l_r, atom.b, fine, n_basis)
-    well = relative_potential(fine, atom) + l_r * (l_r + 1) / (2.0 * fine**2)
-    pairs = []
-    for j in range(n_states):
-        signs = np.sign(u_fine[j, well < energies[j]])
-        pairs.append(OracleEigenpair(
-            eigenvalue=float(energies[j]),
-            node_count=int(np.count_nonzero(signs[1:] != signs[:-1])),
-            radii=r, weights=weights, u_values=u_nodes[j], basis_change=float(change[j])))
-    return pairs
+    return radial_eigensolve_class(atom.b, atom.d, l_r, [atom.g], [n_states], n_basis)[0]
 
 
 def _frobenius_start(params: HeunParameters, order: int = 6) -> list[float]:

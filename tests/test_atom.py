@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -315,7 +316,6 @@ class TestNormalizeRadial:
         b = atom.normalize_radial(scaled).normalization
         assert a == pytest.approx(b, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_norm_raises(self):
         # The norm integral overflows for the 24 most repelled roots of this
         # class; it used to come out as inf, and normalization as 0.0.
@@ -328,6 +328,21 @@ class TestNormalizeRadial:
                 failed.append(str(exc))
         assert len(failed) == 24
         assert all("N = 60, l_r = 2, d/b = 0.3 " in msg for msg in failed)
+
+    def test_overflow_raises_without_a_numpy_warning(self):
+        sols = atom.solve_class(60, 2, 1.0, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="cannot normalize"):
+                atom.normalize_class(sols)
+            with pytest.raises(DomainError, match="cannot normalize"):
+                atom.normalize_radial(sols[-1])
+
+    def test_class_must_be_one_class(self):
+        mixed = [atom.solve_class(1, 0)[0], atom.solve_class(2, 0)[0]]
+        with pytest.raises(DomainError, match="one class"):
+            atom.normalize_class(mixed)
+        assert atom.normalize_class([]) == []
 
 
 @functools.lru_cache(maxsize=None)
@@ -467,3 +482,27 @@ def test_truncation_sweep(n_class, l_r, d_over_b):
         assert upper == sol.n_r
         if n_class <= 24:
             assert lower == sol.n_r
+
+
+@pytest.mark.parametrize("n_class,l_r,d_over_b", _sweep_classes())
+def test_class_routines_equal_the_per_root_ones(n_class, l_r, d_over_b):
+    """solve_class and normalize_class reproduce the one-root routines bit for bit."""
+    sols = atom.solve_class(n_class, l_r, 1.0, d_over_b)
+    single = [atom.radial_solution(n_class, l_r, g, 1.0, d_over_b)
+              for g in atom.solve_g(n_class, l_r, 1.0, d_over_b)]
+    assert repr(sols) == repr(single)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            normalized = atom.normalize_class(sols)
+        except DomainError as exc:
+            # The class routine stops at the first root whose norm overflows.
+            errors = []
+            for sol in single:
+                try:
+                    atom.normalize_radial(sol)
+                except DomainError as one:
+                    errors.append(str(one))
+            assert errors and errors[0] == str(exc)
+        else:
+            assert repr(normalized) == repr([atom.normalize_radial(sol) for sol in single])

@@ -1,15 +1,17 @@
 """CLI contract tests: output formats, determinism, exit codes."""
 
+import collections
 import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import screened_hookium
-from screened_hookium import cli, oracle
+from screened_hookium import atom, cli, oracle
 from screened_hookium.cli import main
 
 
@@ -102,14 +104,14 @@ class TestVerify:
         assert code == 2 and out == "" and "domain error" in err
 
     def test_basis_disagreement_gets_failing_check(self, capsys, monkeypatch):
-        solve = oracle.radial_eigensolve
+        solve = oracle.radial_eigensolve_class
 
-        def disagree_above_20(atom, *args, **kwargs):
-            pairs = solve(atom, *args, **kwargs)
-            return [dataclasses.replace(p, basis_change=1e-6 if atom.g > 20.0 else p.basis_change)
-                    for p in pairs]
+        def disagree_above_20(b, d, l_r, couplings, *args, **kwargs):
+            per_root = solve(b, d, l_r, couplings, *args, **kwargs)
+            return [[dataclasses.replace(p, basis_change=1e-6 if g > 20.0 else p.basis_change)
+                     for p in pairs] for g, pairs in zip(couplings, per_root)]
 
-        monkeypatch.setattr(oracle, "radial_eigensolve", disagree_above_20)
+        monkeypatch.setattr(oracle, "radial_eigensolve_class", disagree_above_20)
         code, out, err = run(capsys, ["verify", "--N", "1", "--lr", "0", "--format", "json"])
         assert code == 3
         doc = json.loads(out)
@@ -120,12 +122,13 @@ class TestVerify:
         assert "1 of 2 root(s) failed" in err
 
     def test_missing_node_match_gets_failing_check(self, capsys, monkeypatch):
-        solve = oracle.radial_eigensolve
+        solve = oracle.radial_eigensolve_class
 
         def shifted_nodes(*args, **kwargs):
-            return [dataclasses.replace(p, node_count=p.node_count + 5) for p in solve(*args, **kwargs)]
+            return [[dataclasses.replace(p, node_count=p.node_count + 5) for p in pairs]
+                    for pairs in solve(*args, **kwargs)]
 
-        monkeypatch.setattr(oracle, "radial_eigensolve", shifted_nodes)
+        monkeypatch.setattr(oracle, "radial_eigensolve_class", shifted_nodes)
         code, out, err = run(capsys, ["verify", "--N", "1", "--lr", "0"])
         assert code == 3
         _, rows = parse_csv(out)
@@ -141,6 +144,36 @@ class TestVerify:
         results = json.loads(out)["results"]
         assert [r["E_oracle"] for r in results] == ["nan", "nan"]
         assert [r["eig_rel_err"] for r in results] == ["inf", "inf"]
+
+    def test_one_root_solve_and_fixed_eigh_count_per_class(self, capsys, monkeypatch):
+        # A class shares one root solve and one stacked DVR solve per basis
+        # size, so the work counts do not grow with the number of roots.
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(atom, "_mu_roots", counting("root_solves", atom._mu_roots))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        per_class = {}
+        for n_class in ("1", "3"):
+            counts.clear()
+            code, _, _ = run(capsys, ["verify", "--N", n_class, "--lr", "1", "--d-over-b", "1.5"])
+            assert code == 0
+            per_class[n_class] = dict(counts)
+        # Laguerre nodes and the stacked H, each at n_basis and 2 n_basis.
+        assert per_class["1"] == per_class["3"] == {"root_solves": 1, "eigh": 4}
+
+    def test_overflowing_class_is_domain_error_without_warning(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["verify", "--N", "60", "--lr", "2", "--d-over-b", "0.3"])
+        assert code == 2 and out == ""
+        assert err == ("domain error: radial norm integral is inf for N = 60, l_r = 2, "
+                       "d/b = 0.3 (g = 6167.288961516493): cannot normalize\n")
 
     def test_class_two_all_roots_pass(self, capsys):
         code, out, _ = run(capsys, ["verify", "--N", "2", "--lr", "0"])
@@ -226,6 +259,12 @@ class TestLimits:
         assert code == 0
         doc = json.loads(out)
         assert doc["results"]["pairs"][0]["g"] == pytest.approx(3.75)
+
+    @pytest.mark.parametrize("args", [["small-d", "--g", "nan"], ["large-d", "--g", "nan"],
+                                      ["small-d", "--b", "-1"], ["small-d", "--b", "inf"]])
+    def test_nan_coupling_or_bad_length_is_domain_error(self, capsys, args):
+        code, out, err = run(capsys, ["limits", *args, "--levels", "2"])
+        assert code == 2 and out == "" and "domain error" in err
 
     def test_bad_pair_syntax_is_usage_error(self, capsys):
         for regime, pair in (("small-d", "1,0,0"), ("small-d", "-1,0,0,3"),

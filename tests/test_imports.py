@@ -83,4 +83,6 @@ assert profile.kind == "numeric" and (profile.values >= 0.0).all()
 
 def test_oracle_names_are_package_names():
     assert screened_hookium.radial_eigensolve is screened_hookium.oracle.radial_eigensolve
+    assert (screened_hookium.radial_eigensolve_class
+            is screened_hookium.oracle.radial_eigensolve_class)
     assert screened_hookium.OracleEigenpair is screened_hookium.oracle.OracleEigenpair

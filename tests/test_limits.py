@@ -119,6 +119,30 @@ class TestSpectra:
         assert group == [(2, 0), (1, 2), (0, 4)]
 
 
+class TestDomainGuards:
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coupling_rejected(self, g):
+        with pytest.raises(DomainError, match="finite"):
+            limits.small_d_energy(0, 0, g)
+        with pytest.raises(DomainError, match="finite"):
+            limits.small_d_spectrum(g, levels=2)
+        model = atom.AtomParameters(b=1.0, d=10.0, g=g)
+        with pytest.raises(DomainError, match="finite"):
+            limits.large_d_energy(0, 0, model)
+        with pytest.raises(DomainError, match="finite"):
+            limits.large_d_spectrum(model, levels=2)
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0, math.nan, math.inf])
+    def test_small_d_rejects_bad_length(self, b):
+        with pytest.raises(DomainError, match="confinement length b"):
+            limits.small_d_spectrum(1.0, b=b, levels=2)
+
+    def test_small_d_scales_with_length(self):
+        # b = -1 used to give the b = 1 spectrum, since energies divide by b^2.
+        energies = [e.energy for e in limits.small_d_spectrum(1.0, b=2.0, levels=4)]
+        assert energies == pytest.approx([e.energy / 4.0 for e in limits.small_d_spectrum(1.0, levels=4)])
+
+
 class TestOracleConsistency:
     def test_small_d_regime(self):
         # strong screening: the eigensolver reproduces the inverse-square map

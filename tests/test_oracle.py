@@ -200,3 +200,51 @@ class TestQuadrature:
         sol = atom.normalize_radial(atom.radial_solution(1, 0, 26.0))
         value = oracle.quadrature(lambda r: sol.radial(r) ** 2 * r**2, 0.0, math.inf, tol=1e-12)
         assert value == pytest.approx(1.0, abs=1e-10)
+
+
+def _oracle_sample_classes():
+    """Seeded classes over N <= 24, l_r <= 4, d/b in [0.05, 20]."""
+    rng = np.random.default_rng(21)
+    return [(int(rng.integers(1, 25)), int(rng.integers(0, 5)),
+             float(np.exp(rng.uniform(math.log(0.05), math.log(20.0)))),
+             float(np.exp(rng.uniform(math.log(0.5), math.log(2.0)))))
+            for _ in range(10)]
+
+
+class TestRadialEigensolveClass:
+    @pytest.mark.parametrize("n_class,l_r,d_over_b,b", _oracle_sample_classes())
+    def test_stacked_solve_equals_one_coupling_calls(self, n_class, l_r, d_over_b, b):
+        d = d_over_b * b
+        couplings = atom.solve_g(n_class, l_r, b=b, d=d)
+        n_states = [n_class - i + 2 for i in range(couplings.size)]
+        stacked = oracle.radial_eigensolve_class(b, d, l_r, couplings, n_states, n_class + 12)
+        assert len(stacked) == couplings.size
+        for g, m, pairs in zip(couplings, n_states, stacked):
+            single = oracle.radial_eigensolve(atom.AtomParameters(b=b, d=d, g=float(g)), l_r,
+                                              n_states=m, n_basis=n_class + 12)
+            assert len(pairs) == len(single) == m
+            for got, want in zip(pairs, single):
+                assert got.eigenvalue == want.eigenvalue
+                assert got.node_count == want.node_count
+                assert got.basis_change == want.basis_change
+                for field in ("radii", "weights", "u_values"):
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_split_stacks_give_the_same_pairs(self, monkeypatch):
+        couplings = atom.solve_g(8, 1, d=0.7)
+        n_states = [m + 2 for m in range(8, -1, -1)]
+        whole = oracle.radial_eigensolve_class(1.0, 0.7, 1, couplings, n_states, 20)
+        monkeypatch.setattr(oracle, "_STACK_ENTRIES", 2 * 20**2)  # 2, then 1, per stack
+        split = oracle.radial_eigensolve_class(1.0, 0.7, 1, couplings, n_states, 20)
+        for got, want in zip(split, whole):
+            assert [(p.eigenvalue, p.node_count, p.basis_change, p.u_values.tobytes()) for p in got] \
+                == [(p.eigenvalue, p.node_count, p.basis_change, p.u_values.tobytes()) for p in want]
+
+    def test_validation(self):
+        with pytest.raises(DomainError, match="one n_states per coupling"):
+            oracle.radial_eigensolve_class(1.0, 1.0, 0, [12.0, 26.0], [3], 24)
+        with pytest.raises(DomainError):
+            oracle.radial_eigensolve_class(1.0, 1.0, 0, [12.0], [25], 24)
+        with pytest.raises(DomainError):
+            oracle.radial_eigensolve_class(-1.0, 1.0, 0, [12.0], [3], 24)
+        assert oracle.radial_eigensolve_class(1.0, 1.0, 0, [], [], 24) == []
